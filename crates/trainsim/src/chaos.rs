@@ -36,9 +36,7 @@ use coarse_simcore::json::JsonValue;
 use coarse_simcore::oracle::{MembershipMonotonicity, OracleHub, Reconvergence, Violation};
 use coarse_simcore::time::{SimDuration, SimTime};
 
-use crate::coarse::{
-    result_fingerprint, simulate_coarse_faulty_observed, FaultyTrainResult, Sabotage,
-};
+use crate::coarse::{result_fingerprint, FaultyTrainResult, Prepared, Sabotage};
 use crate::config::TrainError;
 use crate::scenario::Scenario;
 
@@ -116,8 +114,9 @@ impl CaseReport {
 }
 
 /// Runs one COARSE scenario with the built-in oracle battery armed and
-/// returns the verdicts. The fault-free variant of the same scenario is run
-/// first to obtain the clean-run-equivalence reference fingerprint.
+/// returns the verdicts. The deployment decision is made once: a clean run
+/// on it yields the clean-run-equivalence reference fingerprint, then the
+/// oracle-armed faulty run travels the same deployment.
 ///
 /// # Errors
 ///
@@ -129,9 +128,9 @@ impl CaseReport {
 /// Panics if the scenario's scheme is not COARSE (chaos targets the proxy
 /// tier; the other schemes have no resilience protocol to violate).
 pub fn run_case(scenario: &Scenario, sabotage: Sabotage) -> Result<CaseReport, TrainError> {
-    let clean = scenario.clone().faults(FaultPlan::empty());
-    let reference = result_fingerprint(&clean.run()?);
-    run_case_with_reference(scenario, sabotage, reference)
+    let prepared = prepare_case(scenario)?;
+    let reference = result_fingerprint(&prepared.clean(scenario.iters()));
+    Ok(observe_case(scenario, prepared, sabotage, reference))
 }
 
 /// [`run_case`] with a precomputed reference fingerprint, so soak loops can
@@ -141,40 +140,46 @@ fn run_case_with_reference(
     sabotage: Sabotage,
     reference: u64,
 ) -> Result<CaseReport, TrainError> {
+    let prepared = prepare_case(scenario)?;
+    Ok(observe_case(scenario, prepared, sabotage, reference))
+}
+
+fn prepare_case(scenario: &Scenario) -> Result<Prepared<'_>, TrainError> {
     assert_eq!(
         scenario.scheme_ref(),
         crate::config::Scheme::Coarse,
         "chaos cases exercise the COARSE proxy tier"
     );
-    scenario.validate()?;
-    scenario.check_memory()?;
-    let machine = scenario.machine_ref();
-    let part = machine.partition(scenario.partition_scheme());
+    scenario.prepare_coarse()
+}
+
+/// The oracle-armed faulty run of one case on its prepared deployment.
+fn observe_case(
+    scenario: &Scenario,
+    mut prepared: Prepared<'_>,
+    sabotage: Sabotage,
+    reference: u64,
+) -> CaseReport {
     let hub = OracleHub::with_builtins(WATCHDOG);
     hub.register(Box::new(MembershipMonotonicity::new()));
     hub.register(Box::new(Reconvergence::new(
         crate::recovery::plan_clear_instant(scenario.fault_plan()),
         WATCHDOG,
     )));
-    let faulty = simulate_coarse_faulty_observed(
-        machine,
-        &part,
-        scenario.model_ref(),
-        scenario.batch(),
-        scenario.iters(),
-        scenario.fault_plan(),
-        scenario.policy_ref(),
-        &hub,
-        sabotage,
-        Some(reference),
-    );
+    let faulty = prepared.observed(&hub, sabotage, Some(reference), |p| {
+        p.faulty(
+            scenario.iters(),
+            scenario.fault_plan(),
+            scenario.policy_ref(),
+        )
+    });
     let fingerprint = result_fingerprint(&faulty.result);
-    Ok(CaseReport {
+    CaseReport {
         faulty,
         reference,
         fingerprint,
         violations: hub.violations(),
-    })
+    }
 }
 
 /// One shrunk, replayable oracle failure found by [`soak`].
@@ -768,6 +773,26 @@ mod tests {
         // The generator accepts it directly.
         let plan = FaultPlanGen::new(u).sample(7);
         assert!(!plan.is_empty());
+    }
+
+    #[test]
+    fn run_case_prepares_once_and_references_the_clean_run() {
+        use crate::coarse::prepare_count;
+        for name in Scenario::presets() {
+            let base = Scenario::preset(name).iterations(2);
+            let plan = FaultPlanGen::new(universe_for(&base))
+                .max_events(4)
+                .sample(7);
+            let before = prepare_count::get();
+            let case = run_case(&base.clone().faults(plan), Sabotage::None).expect("fits");
+            assert_eq!(prepare_count::get() - before, 1, "{name}: one prepare");
+            assert_eq!(
+                case.reference,
+                result_fingerprint(&base.run().expect("fits")),
+                "{name}: the reference must be the clean run's fingerprint"
+            );
+            assert!(case.violations.is_empty(), "{name}: {:?}", case.violations);
+        }
     }
 
     #[test]

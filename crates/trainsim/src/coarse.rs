@@ -13,7 +13,9 @@ use std::collections::BTreeMap;
 
 use coarse_cci::checkpoint::plan_pool_checkpoint;
 use coarse_cci::synccore::RingDirection;
-use coarse_collectives::timed::{hierarchical_allreduce, ring_allreduce, CollectiveError};
+use coarse_collectives::timed::{
+    hierarchical_allreduce, ring_allreduce, CollectiveError, CollectiveResult,
+};
 use coarse_core::dualsync::{self, DualSyncInputs};
 use coarse_core::profiler::build_routing_table_for;
 use coarse_core::resilience::{FailureKind, RecoveryAction, RecoveryPolicy, ResiliencePolicy};
@@ -128,25 +130,37 @@ struct TrainTracks {
 }
 
 impl Deployment<'_> {
+    /// Splits the model at proxy budget `m`: the first `m` emitted bytes
+    /// take the proxy path (`true` per tensor index), the rest the GPU
+    /// dual-sync ring. Returns the mask and the GPU ring's byte count.
+    fn proxy_split(&self, proxy_budget: ByteSize) -> (Vec<bool>, ByteSize) {
+        let tensors = self.model.tensors();
+        let mut proxy_path = vec![false; tensors.len()];
+        let mut cum = ByteSize::ZERO;
+        for ev in self.plan.gradients() {
+            if cum < proxy_budget {
+                proxy_path[ev.tensor] = true;
+                cum += tensors[ev.tensor].byte_size();
+            }
+        }
+        let gpu_bytes = tensors
+            .iter()
+            .zip(&proxy_path)
+            .filter(|&(_, &proxy)| !proxy)
+            .map(|(t, _)| t.byte_size())
+            .sum();
+        (proxy_path, gpu_bytes)
+    }
+
     /// Runs `iterations` and returns the steady-state period for a given
     /// proxy-path byte budget `m`.
     fn run(&self, proxy_budget: ByteSize, iterations: u32) -> SimDuration {
-        self.run_collecting(proxy_budget, iterations).0
+        self.run_inner(proxy_budget, iterations, false).0
     }
 
-    /// Like [`run`](Self::run), but also returns the engine so callers can
-    /// inspect link utilization (congestion hotspots).
-    fn run_collecting(
-        &self,
-        proxy_budget: ByteSize,
-        iterations: u32,
-    ) -> (SimDuration, TransferEngine) {
-        let (period, engine, _) = self.run_inner(proxy_budget, iterations, false);
-        (period, engine)
-    }
-
-    /// Full-detail run: also records the phase spans of the **last**
-    /// iteration for timeline rendering.
+    /// Full-detail run: also returns the engine (for link utilization) and
+    /// records the phase spans of the **last** iteration for timeline
+    /// rendering.
     fn run_inner(
         &self,
         proxy_budget: ByteSize,
@@ -155,22 +169,7 @@ impl Deployment<'_> {
     ) -> (SimDuration, TransferEngine, Vec<crate::timeline::PhaseSpan>) {
         let plan = &self.plan;
         let model = self.model;
-        // Assign the first `m` emitted bytes to the proxy path.
-        let mut proxy_path = vec![false; model.tensors().len()];
-        let mut cum = ByteSize::ZERO;
-        for ev in plan.gradients() {
-            if cum < proxy_budget {
-                proxy_path[ev.tensor] = true;
-                cum += model.tensors()[ev.tensor].byte_size();
-            }
-        }
-        let gpu_bytes: ByteSize = model
-            .tensors()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !proxy_path[i])
-            .map(|(_, t)| t.byte_size())
-            .sum();
+        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
 
         let mut engine = TransferEngine::new(self.deployed.topology().clone());
         if let Some(m) = &self.metrics {
@@ -693,21 +692,7 @@ impl Deployment<'_> {
         assert!(!plan.is_empty(), "empty plans take the fast path");
         let iter_plan = &self.plan;
         let model = self.model;
-        let mut proxy_path = vec![false; model.tensors().len()];
-        let mut cum = ByteSize::ZERO;
-        for ev in iter_plan.gradients() {
-            if cum < proxy_budget {
-                proxy_path[ev.tensor] = true;
-                cum += model.tensors()[ev.tensor].byte_size();
-            }
-        }
-        let gpu_bytes: ByteSize = model
-            .tensors()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !proxy_path[i])
-            .map(|(_, t)| t.byte_size())
-            .sum();
+        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
 
         // Fault runs deploy the CCI fabric as a *mesh* rather than a ring:
         // the ring's wrap-around pair after a failover is not ring-adjacent,
@@ -936,35 +921,14 @@ impl Deployment<'_> {
                 let mut collective_delay = SimDuration::ZERO;
                 let mut flap_waits = 0u32;
                 let sync_end = loop {
-                    let attempt = if multi_node {
-                        let ready: Vec<SimTime> = state
-                            .node_mem_rings
-                            .iter()
-                            .flatten()
-                            .map(|&d| ready_of(d) + collective_delay)
-                            .collect();
-                        hierarchical_allreduce(
-                            &mut engine,
-                            &state.node_mem_rings,
-                            total,
-                            &ready,
-                            CCI_OR_NETWORK,
-                        )
-                    } else {
-                        let ready: Vec<SimTime> = state
-                            .mem_devices
-                            .iter()
-                            .map(|&d| ready_of(d) + collective_delay)
-                            .collect();
-                        ring_allreduce(
-                            &mut engine,
-                            &state.mem_devices,
-                            total,
-                            &ready,
-                            RingDirection::for_group(round),
-                            self.proxy_mask,
-                        )
-                    };
+                    let attempt = state.proxy_allreduce(
+                        &mut engine,
+                        multi_node,
+                        total,
+                        |d| ready_of(d) + collective_delay,
+                        round,
+                        self.proxy_mask,
+                    );
                     match attempt {
                         Ok(res) => break res.end,
                         Err(CollectiveError::Transfer(TransferError::DeviceDown { device })) => {
@@ -1000,7 +964,7 @@ impl Deployment<'_> {
                             collective_delay += policy.detect_timeout;
                         }
                         Err(e) => {
-                            // simlint: allow(panic-in-library, reason = "proxy rings are rebuilt non-empty and evenly shaped by fail_over; a shape error here is a bug, not a runtime condition")
+                            // simlint: allow(panic-in-library, reason = "proxy_allreduce falls back to a flat ring when fail_over leaves node rings uneven; a shape error here is a bug, not a runtime condition")
                             unreachable!("proxy collective shape violated: {e}")
                         }
                     }
@@ -1185,21 +1149,7 @@ impl Deployment<'_> {
         let res = &policy.resilience;
         let iter_plan = &self.plan;
         let model = self.model;
-        let mut proxy_path = vec![false; model.tensors().len()];
-        let mut cum = ByteSize::ZERO;
-        for ev in iter_plan.gradients() {
-            if cum < proxy_budget {
-                proxy_path[ev.tensor] = true;
-                cum += model.tensors()[ev.tensor].byte_size();
-            }
-        }
-        let gpu_bytes: ByteSize = model
-            .tensors()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !proxy_path[i])
-            .map(|(_, t)| t.byte_size())
-            .sum();
+        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
 
         // Same mesh deployment as `run_faulty`: survivors of an eviction
         // must stay pairwise routable. Healthy-path timing is identical.
@@ -1477,35 +1427,14 @@ impl Deployment<'_> {
                 let mut collective_delay = SimDuration::ZERO;
                 let mut route_waits = 0u32;
                 let sync_end = loop {
-                    let attempt = if multi_node {
-                        let ready: Vec<SimTime> = state
-                            .node_mem_rings
-                            .iter()
-                            .flatten()
-                            .map(|&d| ready_of(d) + collective_delay)
-                            .collect();
-                        hierarchical_allreduce(
-                            &mut engine,
-                            &state.node_mem_rings,
-                            total,
-                            &ready,
-                            CCI_OR_NETWORK,
-                        )
-                    } else {
-                        let ready: Vec<SimTime> = state
-                            .mem_devices
-                            .iter()
-                            .map(|&d| ready_of(d) + collective_delay)
-                            .collect();
-                        ring_allreduce(
-                            &mut engine,
-                            &state.mem_devices,
-                            total,
-                            &ready,
-                            RingDirection::for_group(round),
-                            self.proxy_mask,
-                        )
-                    };
+                    let attempt = state.proxy_allreduce(
+                        &mut engine,
+                        multi_node,
+                        total,
+                        |d| ready_of(d) + collective_delay,
+                        round,
+                        self.proxy_mask,
+                    );
                     match attempt {
                         Ok(res_ok) => break res_ok.end,
                         Err(CollectiveError::Transfer(TransferError::DeviceDown { device })) => {
@@ -1593,7 +1522,7 @@ impl Deployment<'_> {
                             }
                         }
                         Err(e) => {
-                            // simlint: allow(panic-in-library, reason = "proxy rings are rebuilt non-empty and evenly shaped by evict; a shape error here is a bug, not a runtime condition")
+                            // simlint: allow(panic-in-library, reason = "proxy_allreduce falls back to a flat ring when evict leaves node rings uneven; a shape error here is a bug, not a runtime condition")
                             unreachable!("proxy collective shape violated: {e}")
                         }
                     }
@@ -1944,6 +1873,42 @@ impl FaultDeployState {
                 })
                 .collect();
         }
+    }
+
+    /// The proxy-tier allreduce over the surviving pool. Multi-node runs
+    /// reduce hierarchically while every node keeps the same number of
+    /// proxies; once an eviction leaves the node rings unequal, all
+    /// survivors join one flat ring across the nodes over the CCI-or-network
+    /// fabric, so no healthy proxy is dropped to even the rings out.
+    fn proxy_allreduce(
+        &self,
+        engine: &mut TransferEngine,
+        multi_node: bool,
+        payload: ByteSize,
+        ready_of: impl Fn(DeviceId) -> SimTime,
+        round: usize,
+        proxy_mask: LinkMask,
+    ) -> Result<CollectiveResult, CollectiveError> {
+        let rings = &self.node_mem_rings;
+        let even = rings.iter().all(|r| r.len() == rings[0].len());
+        if multi_node && even {
+            let ready: Vec<SimTime> = rings.iter().flatten().map(|&d| ready_of(d)).collect();
+            return hierarchical_allreduce(engine, rings, payload, &ready, CCI_OR_NETWORK);
+        }
+        let mask = if multi_node {
+            CCI_OR_NETWORK
+        } else {
+            proxy_mask
+        };
+        let ready: Vec<SimTime> = self.mem_devices.iter().map(|&d| ready_of(d)).collect();
+        ring_allreduce(
+            engine,
+            &self.mem_devices,
+            payload,
+            &ready,
+            RingDirection::for_group(round),
+            mask,
+        )
     }
 }
 
@@ -2410,6 +2375,214 @@ fn pool_restore(
     }
 }
 
+/// Panics unless `iterations` can yield a steady-state period (the first
+/// iteration is warm-up; the period is measured from the second on).
+fn assert_steady_state(iterations: u32) {
+    assert!(
+        iterations >= 2,
+        "need ≥2 iterations for a steady-state period"
+    );
+}
+
+/// One COARSE deployment decision — the deployed fabric, routing tables,
+/// bandwidth probes and the dual-sync pilot grid — ready to run. Every
+/// COARSE [`TrainResult`], [`FaultyTrainResult`] and
+/// [`RecoveringTrainResult`] is built here, so a harness that needs
+/// several runs of one scenario (a clean reference next to a metered,
+/// oracle-armed, faulty or recovering run) decides once and runs them all
+/// on one handle. Runs never mutate
+/// the deployment, so each run equals the same run on a freshly prepared
+/// handle. Observers attach for exactly the runs they describe (see
+/// [`metered`](Self::metered) and [`observed`](Self::observed)).
+pub(crate) struct Prepared<'a> {
+    deployment: Deployment<'a>,
+    /// The proxy-path budget `m*` the pilot grid chose.
+    best_m: ByteSize,
+    /// Candidate splits the pilot grid timed.
+    pilot_runs: usize,
+    /// Samples per iteration across all workers.
+    global_batch: u32,
+}
+
+impl Prepared<'_> {
+    fn train_result(&self, period: SimDuration) -> TrainResult {
+        TrainResult::new(
+            period,
+            self.deployment.plan.compute_time(),
+            self.global_batch,
+        )
+    }
+
+    /// A fault-free run of `iterations`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iterations < 2`.
+    pub(crate) fn clean(&self, iterations: u32) -> TrainResult {
+        assert_steady_state(iterations);
+        self.train_result(self.deployment.run(self.best_m, iterations))
+    }
+
+    /// A run under `plan` (see [`simulate_coarse_faulty`]). An empty plan
+    /// takes the clean path: the result equals [`clean`](Self::clean)'s
+    /// and the accounting is all zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iterations < 2`.
+    pub(crate) fn faulty(
+        &self,
+        iterations: u32,
+        plan: &FaultPlan,
+        policy: &ResiliencePolicy,
+    ) -> FaultyTrainResult {
+        let (result, end) = if plan.is_empty() {
+            let clean = FaultyTrainResult {
+                result: self.clean(iterations),
+                injected_faults: 0,
+                retries: 0,
+                failovers: 0,
+                degraded_to_gpu: false,
+                recovery_time: SimDuration::ZERO,
+            };
+            (clean, SimTime::ZERO)
+        } else {
+            assert_steady_state(iterations);
+            let (period, stats) = self
+                .deployment
+                .run_faulty(self.best_m, iterations, plan, policy);
+            let faulty = FaultyTrainResult {
+                result: self.train_result(period),
+                injected_faults: plan.len(),
+                retries: stats.retries,
+                failovers: stats.failovers,
+                degraded_to_gpu: stats.degraded_to_gpu,
+                recovery_time: stats.recovery,
+            };
+            (faulty, stats.end)
+        };
+        self.close_observed_run(&result.result, end);
+        result
+    }
+
+    /// A run under the recovery engine (see [`simulate_coarse_recovering`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iterations < 2` or the plan drops a worker.
+    pub(crate) fn recovering(
+        &self,
+        iterations: u32,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> RecoveringTrainResult {
+        assert_steady_state(iterations);
+        let (period, stats) = self
+            .deployment
+            .run_recovering(self.best_m, iterations, plan, policy);
+        let result = RecoveringTrainResult {
+            result: self.train_result(period),
+            wall: stats.wall,
+            injected_faults: plan.len(),
+            retries: stats.retries,
+            repairs: stats.repairs,
+            restores: stats.restores,
+            membership_epoch: stats.membership_epoch,
+            checkpoints: stats.checkpoints,
+            checkpoint_time: stats.checkpoint_time,
+            checkpoint_bytes: ByteSize::bytes(stats.checkpoint_bytes),
+            restore_time: stats.restore_time,
+            restore_bytes: ByteSize::bytes(stats.restore_bytes),
+            lost_iterations: stats.lost_iterations,
+            detection_time: stats.detection_time,
+            backoff_time: stats.backoff_time,
+            mttr: if stats.restores == 0 {
+                SimDuration::ZERO
+            } else {
+                stats.mttr_total / stats.restores
+            },
+            degraded_to_gpu: stats.degraded_to_gpu,
+        };
+        self.close_observed_run(&result.result, stats.end);
+        result
+    }
+
+    /// A clean run that also reports the `top_n` busiest directed links
+    /// over the run's horizon, as `(description, utilization)` rows in
+    /// descending order.
+    fn with_hotspots(&self, iterations: u32, top_n: usize) -> (TrainResult, Vec<(String, f64)>) {
+        assert_steady_state(iterations);
+        let (period, engine, _) = self.deployment.run_inner(self.best_m, iterations, false);
+        let horizon = SimTime::ZERO + period * u64::from(iterations);
+        let topo = engine.topology();
+        let links = engine
+            .busiest_links(horizon, top_n)
+            .into_iter()
+            .map(|(lid, util)| {
+                let link = topo.link(lid);
+                (
+                    format!(
+                        "{} -> {} ({:?})",
+                        topo.device(link.src()).name(),
+                        topo.device(link.dst()).name(),
+                        link.class()
+                    ),
+                    util,
+                )
+            })
+            .collect();
+        (self.train_result(period), links)
+    }
+
+    /// Closes an oracle-observed run's event stream with its fingerprint
+    /// (for the clean-run-equivalence oracle) and the `RunEnd` stamp. A
+    /// no-op when no hub is armed.
+    fn close_observed_run(&self, result: &TrainResult, end: SimTime) {
+        if let Some(hub) = &self.deployment.oracles {
+            hub.emit(OracleEvent::RunFingerprint {
+                hash: result_fingerprint(result),
+            });
+            hub.emit(OracleEvent::RunEnd { at: end });
+        }
+    }
+
+    /// Runs `run` with `hub` armed and `sabotage` in force, announcing the
+    /// fault-free `reference` fingerprint first. Both are lifted again
+    /// afterwards, so the hub audits exactly the runs made inside.
+    pub(crate) fn observed<R>(
+        &mut self,
+        hub: &OracleHub,
+        sabotage: Sabotage,
+        reference: Option<u64>,
+        run: impl FnOnce(&Self) -> R,
+    ) -> R {
+        if let Some(hash) = reference {
+            hub.emit(OracleEvent::ReferenceFingerprint { hash });
+        }
+        self.deployment.oracles = Some(hub.clone());
+        self.deployment.sabotage = sabotage;
+        let out = run(self);
+        self.deployment.oracles = None;
+        self.deployment.sabotage = Sabotage::None;
+        out
+    }
+
+    /// Runs `run` with a fresh metric registry attached and returns its
+    /// output with the frozen [`MetricsSnapshot`]: the dual-sync decision
+    /// gauges (`dualsync.chosen_m_bytes`, `dualsync.pilot_runs`) plus what
+    /// the runs inside recorded. The registry is detached before the
+    /// snapshot is taken, so later runs on the handle never reach it.
+    pub(crate) fn metered<R>(&mut self, run: impl FnOnce(&Self) -> R) -> (R, MetricsSnapshot) {
+        let registry = MetricRegistry::new();
+        registry.gauge(metric::DUALSYNC_CHOSEN_M_BYTES, self.best_m.as_f64());
+        registry.gauge(metric::DUALSYNC_PILOT_RUNS, self.pilot_runs as f64);
+        self.deployment.metrics = Some(registry.clone());
+        let out = run(self);
+        self.deployment.metrics = None;
+        (out, registry.snapshot())
+    }
+}
+
 /// Simulates COARSE training on `machine`.
 ///
 /// # Panics
@@ -2423,14 +2596,7 @@ pub fn simulate_coarse(
     batch_per_gpu: u32,
     iterations: u32,
 ) -> TrainResult {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    let period = deployment.run(best_m, iterations);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    TrainResult::new(period, deployment.plan.compute_time(), global_batch)
+    prepare(machine, partition, model, batch_per_gpu).clean(iterations)
 }
 
 /// Steady-state results of a fault-injected COARSE run, together with what
@@ -2491,32 +2657,7 @@ pub fn simulate_coarse_faulty(
     plan: &FaultPlan,
     policy: &ResiliencePolicy,
 ) -> FaultyTrainResult {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    if plan.is_empty() {
-        let period = deployment.run(best_m, iterations);
-        return FaultyTrainResult {
-            result: TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-            injected_faults: 0,
-            retries: 0,
-            failovers: 0,
-            degraded_to_gpu: false,
-            recovery_time: SimDuration::ZERO,
-        };
-    }
-    let (period, stats) = deployment.run_faulty(best_m, iterations, plan, policy);
-    FaultyTrainResult {
-        result: TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-        injected_faults: plan.len(),
-        retries: stats.retries,
-        failovers: stats.failovers,
-        degraded_to_gpu: stats.degraded_to_gpu,
-        recovery_time: stats.recovery,
-    }
+    prepare(machine, partition, model, batch_per_gpu).faulty(iterations, plan, policy)
 }
 
 /// Deterministic FNV-1a fingerprint of a training result: the exact bit
@@ -2571,49 +2712,9 @@ pub fn simulate_coarse_faulty_observed(
     sabotage: Sabotage,
     reference: Option<u64>,
 ) -> FaultyTrainResult {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (mut deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    deployment.oracles = Some(hub.clone());
-    deployment.sabotage = sabotage;
-    if let Some(hash) = reference {
-        hub.emit(OracleEvent::ReferenceFingerprint { hash });
-    }
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    let (result, end) = if plan.is_empty() {
-        let period = deployment.run(best_m, iterations);
-        (
-            FaultyTrainResult {
-                result: TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-                injected_faults: 0,
-                retries: 0,
-                failovers: 0,
-                degraded_to_gpu: false,
-                recovery_time: SimDuration::ZERO,
-            },
-            SimTime::ZERO,
-        )
-    } else {
-        let (period, stats) = deployment.run_faulty(best_m, iterations, plan, policy);
-        (
-            FaultyTrainResult {
-                result: TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-                injected_faults: plan.len(),
-                retries: stats.retries,
-                failovers: stats.failovers,
-                degraded_to_gpu: stats.degraded_to_gpu,
-                recovery_time: stats.recovery,
-            },
-            stats.end,
-        )
-    };
-    hub.emit(OracleEvent::RunFingerprint {
-        hash: result_fingerprint(&result.result),
-    });
-    hub.emit(OracleEvent::RunEnd { at: end });
-    result
+    prepare(machine, partition, model, batch_per_gpu).observed(hub, sabotage, reference, |p| {
+        p.faulty(iterations, plan, policy)
+    })
 }
 
 /// Results of a recovery-engine run: the steady-state training result plus
@@ -2679,38 +2780,6 @@ impl RecoveringTrainResult {
     }
 }
 
-fn recovering_result(
-    deployment: &Deployment<'_>,
-    global_batch: u32,
-    plan: &FaultPlan,
-    period: SimDuration,
-    stats: RecoveryRunStats,
-) -> RecoveringTrainResult {
-    RecoveringTrainResult {
-        result: TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-        wall: stats.wall,
-        injected_faults: plan.len(),
-        retries: stats.retries,
-        repairs: stats.repairs,
-        restores: stats.restores,
-        membership_epoch: stats.membership_epoch,
-        checkpoints: stats.checkpoints,
-        checkpoint_time: stats.checkpoint_time,
-        checkpoint_bytes: ByteSize::bytes(stats.checkpoint_bytes),
-        restore_time: stats.restore_time,
-        restore_bytes: ByteSize::bytes(stats.restore_bytes),
-        lost_iterations: stats.lost_iterations,
-        detection_time: stats.detection_time,
-        backoff_time: stats.backoff_time,
-        mttr: if stats.restores == 0 {
-            SimDuration::ZERO
-        } else {
-            stats.mttr_total / stats.restores
-        },
-        degraded_to_gpu: stats.degraded_to_gpu,
-    }
-}
-
 /// Simulates COARSE training under the full recovery engine: pool
 /// checkpoints every [`RecoveryPolicy::checkpoint_interval`] iterations
 /// become real sealed-push traffic, transient failures repair the
@@ -2736,14 +2805,7 @@ pub fn simulate_coarse_recovering(
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
 ) -> RecoveringTrainResult {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    let (period, stats) = deployment.run_recovering(best_m, iterations, plan, policy);
-    recovering_result(&deployment, global_batch, plan, period, stats)
+    prepare(machine, partition, model, batch_per_gpu).recovering(iterations, plan, policy)
 }
 
 /// [`simulate_coarse_recovering`] with an [`OracleHub`] armed: alongside
@@ -2770,23 +2832,12 @@ pub fn simulate_coarse_recovering_observed(
     hub: &OracleHub,
     reference: Option<u64>,
 ) -> RecoveringTrainResult {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (mut deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    deployment.oracles = Some(hub.clone());
-    if let Some(hash) = reference {
-        hub.emit(OracleEvent::ReferenceFingerprint { hash });
-    }
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    let (period, stats) = deployment.run_recovering(best_m, iterations, plan, policy);
-    let result = recovering_result(&deployment, global_batch, plan, period, stats);
-    hub.emit(OracleEvent::RunFingerprint {
-        hash: result_fingerprint(&result.result),
-    });
-    hub.emit(OracleEvent::RunEnd { at: stats.end });
-    result
+    prepare(machine, partition, model, batch_per_gpu).observed(
+        hub,
+        Sabotage::None,
+        reference,
+        |p| p.recovering(iterations, plan, policy),
+    )
 }
 
 /// [`simulate_coarse_faulty`] with a recording tracer attached: the trace
@@ -2805,64 +2856,57 @@ pub fn record_coarse_faulty_trace(
     plan: &FaultPlan,
     policy: &ResiliencePolicy,
 ) -> (FaultyTrainResult, Trace) {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
     let rec = RecordingTracer::new();
-    let handle: SharedTracer = rec.handle();
-    let (mut deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    deployment.tracer = Some(handle);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    let result = if plan.is_empty() {
-        let period = deployment.run(best_m, iterations);
-        FaultyTrainResult {
-            result: TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-            injected_faults: 0,
-            retries: 0,
-            failovers: 0,
-            degraded_to_gpu: false,
-            recovery_time: SimDuration::ZERO,
-        }
-    } else {
-        let (period, stats) = deployment.run_faulty(best_m, iterations, plan, policy);
-        FaultyTrainResult {
-            result: TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-            injected_faults: plan.len(),
-            retries: stats.retries,
-            failovers: stats.failovers,
-            degraded_to_gpu: stats.degraded_to_gpu,
-            recovery_time: stats.recovery,
-        }
-    };
+    let mut prepared = prepare(machine, partition, model, batch_per_gpu);
+    prepared.deployment.tracer = Some(rec.handle());
+    let result = prepared.faulty(iterations, plan, policy);
     (result, rec.take())
 }
 
-/// Builds the deployment (fabric, tables, bandwidths, dual-sync pilot) for
-/// a COARSE run and returns it with the chosen proxy budget.
-fn prepare<'a>(
+/// Test-only count of the deployment decisions made on the current thread,
+/// so tests can pin how many times a harness prepares its scenario.
+#[cfg(test)]
+pub(crate) mod prepare_count {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PREPARES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn bump() {
+        PREPARES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Deployment decisions made on this thread so far.
+    pub(crate) fn get() -> u64 {
+        PREPARES.with(Cell::get)
+    }
+}
+
+/// Makes the deployment decision (fabric, tables, bandwidths, dual-sync
+/// pilot) for a COARSE run.
+pub(crate) fn prepare<'a>(
     machine: &'a Machine,
     partition: &Partition,
     model: &'a ModelProfile,
     batch_per_gpu: u32,
-) -> (Deployment<'a>, ByteSize) {
-    prepare_traced(machine, partition, model, batch_per_gpu, None, None)
+) -> Prepared<'a> {
+    prepare_traced(machine, partition, model, batch_per_gpu, None)
 }
 
 /// [`prepare`], optionally recording the dual-sync decision process
-/// (analytic candidates, pilot timings, chosen `m*`) on `tracer` and
-/// publishing the decision gauges (`dualsync.chosen_m_bytes`,
-/// `dualsync.pilot_runs`) into `metrics`. The pilot runs themselves stay
-/// untraced and unmetered so the final trace/snapshot holds exactly one
-/// run's events.
+/// (analytic candidates, pilot timings, chosen `m*`) on `tracer`. The pilot
+/// runs themselves stay untraced, unmetered and unobserved, so whatever a
+/// later run records covers exactly that run.
 fn prepare_traced<'a>(
     machine: &'a Machine,
     partition: &Partition,
     model: &'a ModelProfile,
     batch_per_gpu: u32,
     tracer: Option<&SharedTracer>,
-    metrics: Option<&MetricRegistry>,
-) -> (Deployment<'a>, ByteSize) {
+) -> Prepared<'a> {
+    #[cfg(test)]
+    prepare_count::bump();
     assert!(
         partition.mem_devices.len() >= 2,
         "COARSE needs at least two memory devices"
@@ -3041,10 +3085,6 @@ fn prepare_traced<'a>(
             &format!("pilot chose m* = {best_m} of {}", model.total_bytes()),
         );
     }
-    if let Some(m) = metrics {
-        m.gauge(metric::DUALSYNC_CHOSEN_M_BYTES, best_m.as_f64());
-        m.gauge(metric::DUALSYNC_PILOT_RUNS, pilot_runs as f64);
-    }
 
     if pilot_debug() {
         eprintln!(
@@ -3058,7 +3098,12 @@ fn prepare_traced<'a>(
         );
     }
 
-    (deployment, best_m)
+    Prepared {
+        deployment,
+        best_m,
+        pilot_runs,
+        global_batch: batch_per_gpu * partition.workers.len() as u32,
+    }
 }
 
 /// Simulates COARSE with the input pipeline modeled: every iteration each
@@ -3076,16 +3121,10 @@ pub fn simulate_coarse_with_input(
     batch_per_gpu: u32,
     iterations: u32,
 ) -> TrainResult {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (mut deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    deployment.input_bytes =
+    let mut prepared = prepare(machine, partition, model, batch_per_gpu);
+    prepared.deployment.input_bytes =
         ByteSize::bytes(dataset.sample_bytes().as_u64() * batch_per_gpu as u64);
-    let period = deployment.run(best_m, iterations);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    TrainResult::new(period, deployment.plan.compute_time(), global_batch)
+    prepared.clean(iterations)
 }
 
 /// Runs COARSE for three iterations and returns the phase timeline of the
@@ -3101,8 +3140,8 @@ pub fn trace_coarse(
     model: &ModelProfile,
     batch_per_gpu: u32,
 ) -> crate::timeline::IterationTrace {
-    let (deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    let (period, _, spans) = deployment.run_inner(best_m, 3, true);
+    let prepared = prepare(machine, partition, model, batch_per_gpu);
+    let (period, _, spans) = prepared.deployment.run_inner(prepared.best_m, 3, true);
     crate::timeline::IterationTrace::new(spans, period)
 }
 
@@ -3124,24 +3163,11 @@ pub fn record_coarse_trace(
     batch_per_gpu: u32,
     iterations: u32,
 ) -> (TrainResult, Trace) {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
     let rec = RecordingTracer::new();
     let handle: SharedTracer = rec.handle();
-    let (mut deployment, best_m) = prepare_traced(
-        machine,
-        partition,
-        model,
-        batch_per_gpu,
-        Some(&handle),
-        None,
-    );
-    deployment.tracer = Some(handle);
-    let period = deployment.run(best_m, iterations);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    let result = TrainResult::new(period, deployment.plan.compute_time(), global_batch);
+    let mut prepared = prepare_traced(machine, partition, model, batch_per_gpu, Some(&handle));
+    prepared.deployment.tracer = Some(handle);
+    let result = prepared.clean(iterations);
     (result, rec.take())
 }
 
@@ -3163,24 +3189,7 @@ pub fn record_coarse_metrics(
     batch_per_gpu: u32,
     iterations: u32,
 ) -> (TrainResult, MetricsSnapshot) {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let registry = MetricRegistry::new();
-    let (mut deployment, best_m) = prepare_traced(
-        machine,
-        partition,
-        model,
-        batch_per_gpu,
-        None,
-        Some(&registry),
-    );
-    deployment.metrics = Some(registry.clone());
-    let period = deployment.run(best_m, iterations);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    let result = TrainResult::new(period, deployment.plan.compute_time(), global_batch);
-    (result, registry.snapshot())
+    prepare(machine, partition, model, batch_per_gpu).metered(|p| p.clean(iterations))
 }
 
 /// Runs COARSE with a self-profiler attached to the final run: the transfer
@@ -3202,15 +3211,9 @@ pub fn record_coarse_profile(
     iterations: u32,
     profiler: Profiler,
 ) -> TrainResult {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (mut deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    deployment.profiler = Some(profiler);
-    let period = deployment.run(best_m, iterations);
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    TrainResult::new(period, deployment.plan.compute_time(), global_batch)
+    let mut prepared = prepare(machine, partition, model, batch_per_gpu);
+    prepared.deployment.profiler = Some(profiler);
+    prepared.clean(iterations)
 }
 
 /// Runs COARSE with a critical-path recorder attached to the final run: the
@@ -3233,36 +3236,9 @@ pub fn record_coarse_explain(
     iterations: u32,
     critpath: CritPath,
 ) -> (TrainResult, Vec<(String, f64)>) {
-    assert!(
-        iterations >= 2,
-        "need ≥2 iterations for a steady-state period"
-    );
-    let (mut deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    deployment.critpath = Some(critpath);
-    let (period, engine) = deployment.run_collecting(best_m, iterations);
-    let horizon = SimTime::ZERO + period * u64::from(iterations);
-    let links = engine
-        .busiest_links(horizon, usize::MAX)
-        .into_iter()
-        .map(|(lid, util)| {
-            let topo = engine.topology();
-            let link = topo.link(lid);
-            (
-                format!(
-                    "{} -> {} ({:?})",
-                    topo.device(link.src()).name(),
-                    topo.device(link.dst()).name(),
-                    link.class()
-                ),
-                util,
-            )
-        })
-        .collect();
-    let global_batch = batch_per_gpu * partition.workers.len() as u32;
-    (
-        TrainResult::new(period, deployment.plan.compute_time(), global_batch),
-        links,
-    )
+    let mut prepared = prepare(machine, partition, model, batch_per_gpu);
+    prepared.deployment.critpath = Some(critpath);
+    prepared.with_hotspots(iterations, usize::MAX)
 }
 
 /// Runs COARSE and reports the `top_n` busiest directed links — the
@@ -3280,26 +3256,9 @@ pub fn coarse_hotspots(
     batch_per_gpu: u32,
     top_n: usize,
 ) -> Vec<(String, f64)> {
-    let (deployment, best_m) = prepare(machine, partition, model, batch_per_gpu);
-    let (period, engine) = deployment.run_collecting(best_m, 3);
-    let horizon = SimTime::ZERO + period * 3;
-    engine
-        .busiest_links(horizon, top_n)
-        .into_iter()
-        .map(|(lid, util)| {
-            let topo = engine.topology();
-            let link = topo.link(lid);
-            (
-                format!(
-                    "{} -> {} ({:?})",
-                    topo.device(link.src()).name(),
-                    topo.device(link.dst()).name(),
-                    link.class()
-                ),
-                util,
-            )
-        })
-        .collect()
+    prepare(machine, partition, model, batch_per_gpu)
+        .with_hotspots(3, top_n)
+        .1
 }
 
 /// Splits a payload into wire shards of `shard` bytes (remainder last); a
@@ -3486,6 +3445,35 @@ mod tests {
         );
         assert!(faulty.is_clean());
         assert_eq!(clean, faulty.result, "empty plan must perturb nothing");
+    }
+
+    #[test]
+    fn runs_on_one_handle_match_fresh_deployments() {
+        let m = aws_v100();
+        let p = m.partition(PartitionScheme::OneToOne);
+        let model = bert_large();
+        let victim = p.mem_devices[0].index() as u32;
+        let plan =
+            FaultPlan::new(5).drop_device(victim, SimTime::ZERO + SimDuration::from_millis(1));
+        let policy = ResiliencePolicy::default();
+        let prepared = prepare(&m, &p, &model, 2);
+        let clean = prepared.clean(3);
+        let faulty = prepared.faulty(3, &plan, &policy);
+        let recovering = prepared.recovering(3, &plan, &RecoveryPolicy::default());
+        assert_eq!(
+            prepared.clean(3),
+            clean,
+            "runs leave the deployment as found"
+        );
+        assert_eq!(clean, simulate_coarse(&m, &p, &model, 2, 3));
+        assert_eq!(
+            faulty,
+            simulate_coarse_faulty(&m, &p, &model, 2, 3, &plan, &policy)
+        );
+        assert_eq!(
+            recovering,
+            simulate_coarse_recovering(&m, &p, &model, 2, 3, &plan, &RecoveryPolicy::default())
+        );
     }
 
     #[test]

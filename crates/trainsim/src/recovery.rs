@@ -34,8 +34,8 @@ use coarse_simcore::time::{SimDuration, SimTime};
 use coarse_simcore::units::ByteSize;
 
 use crate::chaos::spec_to_json;
-use crate::coarse::{result_fingerprint, simulate_coarse_recovering_observed};
-use crate::config::TrainError;
+use crate::coarse::{result_fingerprint, Prepared, Sabotage};
+use crate::config::{TrainError, TrainResult};
 use crate::scenario::Scenario;
 
 /// Schema tag of rendered recovery reports.
@@ -67,6 +67,11 @@ const SCHEDULE_SEED: u64 = 0x5EC0_4E4F_5EC0_4E4F;
 /// horizon comes from that run).
 pub fn reference_schedule(scenario: &Scenario) -> Result<FaultPlan, TrainError> {
     let baseline = scenario.clone().faults(FaultPlan::empty()).run()?;
+    Ok(schedule_for(scenario, &baseline))
+}
+
+/// [`reference_schedule`] scaled to an already-run fault-free `baseline`.
+fn schedule_for(scenario: &Scenario, baseline: &TrainResult) -> FaultPlan {
     let span = baseline.iteration_time * u64::from(scenario.iters());
     let t = |f: f64| SimTime::ZERO + SimDuration::from_secs_f64(span.as_secs_f64() * f);
     let part = scenario
@@ -82,7 +87,7 @@ pub fn reference_schedule(scenario: &Scenario) -> Result<FaultPlan, TrainError> 
     if mems.len() >= 4 {
         plan = plan.drop_device(mems[2], t(0.70));
     }
-    Ok(plan)
+    plan
 }
 
 /// The instant a plan's last fault clears: the latest window end or
@@ -284,7 +289,8 @@ fn faulty_to_json(f: &crate::coarse::RecoveringTrainResult) -> JsonValue {
 
 /// Collects a [`RecoveryReport`] for `preset`: the fault-free baseline,
 /// the fault-free checkpoint-cadenced run, and the oracle-observed faulty
-/// run under the [`reference_schedule`].
+/// run under the [`reference_schedule`]. The deployment decision is made
+/// once; the schedule's fault-free horizon and all three runs share it.
 ///
 /// # Errors
 ///
@@ -296,21 +302,24 @@ pub fn recovery_report(
     policy: &RecoveryPolicy,
 ) -> Result<RecoveryReport, TrainError> {
     let base = Scenario::try_preset(preset)?.iterations(iterations);
-    let schedule = reference_schedule(&base)?;
-    collect(&base, schedule, policy)
+    let mut prepared = base.prepare_coarse()?;
+    let schedule = schedule_for(&base, &prepared.clean(iterations));
+    Ok(collect(&base, &mut prepared, schedule, policy))
 }
 
 fn collect(
     base: &Scenario,
+    prepared: &mut Prepared<'_>,
     schedule: FaultPlan,
     policy: &RecoveryPolicy,
-) -> Result<RecoveryReport, TrainError> {
+) -> RecoveryReport {
     let free = RecoveryPolicy {
         checkpoint_interval: 0,
         ..*policy
     };
-    let baseline = base.clone().run_recovering(&free)?;
-    let checkpointed = base.clone().run_recovering(policy)?;
+    let iterations = base.iters();
+    let baseline = prepared.recovering(iterations, &FaultPlan::empty(), &free);
+    let checkpointed = prepared.recovering(iterations, &FaultPlan::empty(), policy);
 
     let hub = OracleHub::with_builtins(WATCHDOG);
     hub.register(Box::new(MembershipMonotonicity::new()));
@@ -318,26 +327,14 @@ fn collect(
         plan_clear_instant(&schedule),
         WATCHDOG,
     )));
-    let faulty_scenario = base.clone().faults(schedule.clone());
-    faulty_scenario.validate()?;
-    faulty_scenario.check_memory()?;
-    let machine = base.machine_ref();
-    let part = machine.partition(base.partition_scheme());
-    let faulty = simulate_coarse_recovering_observed(
-        machine,
-        &part,
-        base.model_ref(),
-        base.batch(),
-        base.iters(),
-        &schedule,
-        policy,
-        &hub,
-        Some(result_fingerprint(&baseline.result)),
-    );
+    let reference = result_fingerprint(&baseline.result);
+    let faulty = prepared.observed(&hub, Sabotage::None, Some(reference), |p| {
+        p.recovering(iterations, &schedule, policy)
+    });
     let violations = hub.violations().iter().map(|v| v.to_string()).collect();
-    Ok(RecoveryReport {
+    RecoveryReport {
         preset: base.name().to_string(),
-        iterations: base.iters(),
+        iterations,
         policy: *policy,
         schedule,
         image_bytes: base.model_ref().total_bytes(),
@@ -348,7 +345,7 @@ fn collect(
         faulty,
         disk: DiskModel::default(),
         violations,
-    })
+    }
 }
 
 /// One checkpoint-interval sweep: [`RecoveryReport`]s for the same preset
@@ -415,7 +412,8 @@ impl RecoverySweep {
 }
 
 /// Sweeps the checkpoint interval for `preset` over `intervals`, holding
-/// the schedule and every other policy knob fixed.
+/// the schedule and every other policy knob fixed. Every interval runs on
+/// one deployment decision.
 ///
 /// # Errors
 ///
@@ -432,15 +430,18 @@ pub fn interval_sweep(
 ) -> Result<RecoverySweep, TrainError> {
     assert!(!intervals.is_empty(), "sweep needs at least one interval");
     let base = Scenario::try_preset(preset)?.iterations(iterations);
-    let schedule = reference_schedule(&base)?;
-    let mut reports = Vec::with_capacity(intervals.len());
-    for &interval in intervals {
-        let p = RecoveryPolicy {
-            checkpoint_interval: interval,
-            ..*policy
-        };
-        reports.push(collect(&base, schedule.clone(), &p)?);
-    }
+    let mut prepared = base.prepare_coarse()?;
+    let schedule = schedule_for(&base, &prepared.clean(iterations));
+    let reports = intervals
+        .iter()
+        .map(|&interval| {
+            let p = RecoveryPolicy {
+                checkpoint_interval: interval,
+                ..*policy
+            };
+            collect(&base, &mut prepared, schedule.clone(), &p)
+        })
+        .collect();
     Ok(RecoverySweep {
         preset: preset.to_string(),
         iterations,
@@ -482,6 +483,38 @@ mod tests {
         assert!(a.faulty.restores >= 1, "the schedule forces a restore");
         assert!(a.goodput() > 0.0 && a.goodput() < 1.0, "{}", a.goodput());
         assert!(a.checkpoint_overhead() > 0.0);
+    }
+
+    #[test]
+    fn one_prepare_serves_every_run_of_a_report() {
+        use crate::coarse::prepare_count;
+        let policy = RecoveryPolicy {
+            checkpoint_interval: 2,
+            ..RecoveryPolicy::default()
+        };
+        let before = prepare_count::get();
+        let r = recovery_report("fig16d", 4, &policy).unwrap();
+        assert_eq!(prepare_count::get() - before, 1, "one prepare per report");
+        let before = prepare_count::get();
+        interval_sweep("fig16d", 4, &[0, 2], &policy).unwrap();
+        assert_eq!(prepare_count::get() - before, 1, "one prepare per sweep");
+        // Runs on the shared deployment equal freshly prepared ones.
+        let base = Scenario::preset("fig16d").iterations(4);
+        let free = RecoveryPolicy {
+            checkpoint_interval: 0,
+            ..policy
+        };
+        assert_eq!(r.baseline_wall, base.run_recovering(&free).unwrap().wall);
+        assert_eq!(
+            r.checkpointed_wall,
+            base.run_recovering(&policy).unwrap().wall
+        );
+        assert_eq!(
+            r.faulty,
+            base.faults(r.schedule.clone())
+                .run_recovering(&policy)
+                .unwrap()
+        );
     }
 
     #[test]

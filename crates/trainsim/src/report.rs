@@ -14,9 +14,7 @@ use coarse_simcore::json::JsonValue;
 use coarse_simcore::metrics::MetricsSnapshot;
 use coarse_simcore::time::SimDuration;
 
-use crate::coarse::simulate_coarse_faulty;
 use crate::config::{Scheme, TrainError, TrainResult};
-use crate::record_coarse_metrics;
 use crate::scenario::Scenario;
 
 /// Schema identifier stamped into every report. Bump the `/vN` suffix on
@@ -105,8 +103,9 @@ pub struct RunReport {
 impl RunReport {
     /// Runs the scenario under all three schemes and collects the report.
     /// OOM schemes are recorded, not skipped, so the report always has
-    /// three entries. The COARSE run, when feasible, is re-run metered;
-    /// metering is observation-only so both runs agree exactly.
+    /// three entries. The COARSE row, when feasible, comes from one metered
+    /// run; metering is observation-only, so it equals the unmetered run
+    /// exactly.
     pub fn collect(
         scenario: &str,
         machine: &Machine,
@@ -169,41 +168,41 @@ impl RunReport {
             };
             SchemeRun { scheme, outcome }
         };
-        let schemes: Vec<SchemeRun> = [Scheme::Dense, Scheme::AllReduce, Scheme::Coarse]
+        let mut schemes: Vec<SchemeRun> = [Scheme::Dense, Scheme::AllReduce]
             .into_iter()
             .map(run)
             .collect();
-        let part = machine.partition(partition);
-        let coarse_metrics = schemes[2].result().map(|_| {
-            let (_, snapshot) =
-                record_coarse_metrics(machine, &part, model, batch_per_gpu, iterations);
-            snapshot
-        });
-        let plan = scenario.fault_plan();
-        let faults = if plan.is_empty() {
-            None
-        } else {
-            schemes[2].result().map(|_| {
-                let f = simulate_coarse_faulty(
-                    machine,
-                    &part,
-                    model,
-                    batch_per_gpu,
-                    iterations,
-                    plan,
-                    scenario.policy_ref(),
-                );
-                FaultRunSummary {
-                    seed: plan.seed(),
-                    injected: plan.len(),
-                    retries: f.retries,
-                    failovers: f.failovers,
-                    degraded_to_gpu: f.degraded_to_gpu,
-                    recovery_time: f.recovery_time,
-                    coarse: f.result,
-                }
-            })
+        // COARSE decides its deployment once: the metered run is the COARSE
+        // row (metering is observation-only, so it equals `run()` exactly)
+        // and supplies the metrics; a fault plan then runs on the same
+        // deployment with the registry already detached.
+        let (coarse, coarse_metrics, faults) = match clean.prepare_coarse() {
+            Ok(mut prepared) => {
+                let (result, snapshot) = prepared.metered(|p| p.clean(iterations));
+                let plan = scenario.fault_plan();
+                let faults = (!plan.is_empty()).then(|| {
+                    let f = prepared.faulty(iterations, plan, scenario.policy_ref());
+                    FaultRunSummary {
+                        seed: plan.seed(),
+                        injected: plan.len(),
+                        retries: f.retries,
+                        failovers: f.failovers,
+                        degraded_to_gpu: f.degraded_to_gpu,
+                        recovery_time: f.recovery_time,
+                        coarse: f.result,
+                    }
+                });
+                (SchemeOutcome::Completed(result), Some(snapshot), faults)
+            }
+            Err(TrainError::OutOfMemory { max_batch, .. }) => {
+                (SchemeOutcome::OutOfMemory { max_batch }, None, None)
+            }
+            Err(e) => return Err(e),
         };
+        schemes.push(SchemeRun {
+            scheme: Scheme::Coarse,
+            outcome: coarse,
+        });
         Ok(RunReport {
             scenario: scenario.name().to_string(),
             machine: machine.name().to_string(),
@@ -382,7 +381,13 @@ mod tests {
         let victim = p.mem_devices[0].index() as u32;
         let plan =
             FaultPlan::new(5).drop_device(victim, SimTime::ZERO + SimDuration::from_millis(1));
+        let before = crate::coarse::prepare_count::get();
         let r = Scenario::preset("fig16d").faults(plan).report();
+        assert_eq!(
+            crate::coarse::prepare_count::get() - before,
+            1,
+            "the metered row and the faulty run share one deployment"
+        );
         let f = r.faults.as_ref().expect("fault summary present");
         assert_eq!(f.failovers, 1);
         assert!(f.recovery_time > SimDuration::ZERO);
@@ -393,6 +398,24 @@ mod tests {
         assert!(clean.faults.is_none());
         assert!(!clean.render().contains("\"faults\""));
         assert_eq!(clean.schemes, r.schemes);
+    }
+
+    #[test]
+    fn coarse_row_is_one_metered_run_equal_to_scenario_run() {
+        use crate::coarse::{prepare_count, result_fingerprint};
+        for name in Scenario::presets() {
+            let s = Scenario::preset(name);
+            let before = prepare_count::get();
+            let r = s.report();
+            assert_eq!(prepare_count::get() - before, 1, "{name}: one prepare");
+            let row = r.scheme(Scheme::Coarse).result().expect("COARSE fits");
+            let run = s.run().expect("COARSE fits");
+            assert_eq!(
+                result_fingerprint(row),
+                result_fingerprint(&run),
+                "{name}: the report's COARSE row must equal Scenario::run bit for bit"
+            );
+        }
     }
 
     #[test]

@@ -26,10 +26,7 @@ use coarse_models::zoo::{bert_base, bert_large, resnet50};
 use coarse_simcore::faults::FaultPlan;
 
 use crate::allreduce::simulate_allreduce;
-use crate::coarse::{
-    simulate_coarse, simulate_coarse_faulty, simulate_coarse_recovering, FaultyTrainResult,
-    RecoveringTrainResult,
-};
+use crate::coarse::{prepare, FaultyTrainResult, Prepared, RecoveringTrainResult};
 use crate::config::{Scheme, TrainError, TrainResult};
 use crate::dense::simulate_dense_faulty;
 use crate::report::RunReport;
@@ -255,24 +252,10 @@ impl Scenario {
                 self.batch_per_gpu,
                 self.iterations,
             ),
-            Scheme::Coarse if self.faults.is_empty() => simulate_coarse(
-                &self.machine,
-                &part,
-                &self.model,
-                self.batch_per_gpu,
-                self.iterations,
-            ),
             Scheme::Coarse => {
-                simulate_coarse_faulty(
-                    &self.machine,
-                    &part,
-                    &self.model,
-                    self.batch_per_gpu,
-                    self.iterations,
-                    &self.faults,
-                    &self.policy,
-                )
-                .result
+                prepare(&self.machine, &part, &self.model, self.batch_per_gpu)
+                    .faulty(self.iterations, &self.faults, &self.policy)
+                    .result
             }
         })
     }
@@ -296,18 +279,9 @@ impl Scenario {
             Scheme::Coarse,
             "run_faulty reports proxy-tier resilience; only COARSE has one"
         );
-        self.validate()?;
-        self.check_memory()?;
-        let part = self.machine.partition(self.partition);
-        Ok(simulate_coarse_faulty(
-            &self.machine,
-            &part,
-            &self.model,
-            self.batch_per_gpu,
-            self.iterations,
-            &self.faults,
-            &self.policy,
-        ))
+        Ok(self
+            .prepare_coarse()?
+            .faulty(self.iterations, &self.faults, &self.policy))
     }
 
     /// Runs COARSE under the full recovery engine — elastic membership
@@ -334,17 +308,29 @@ impl Scenario {
             Scheme::Coarse,
             "run_recovering restores the proxy pool; only COARSE has one"
         );
+        Ok(self
+            .prepare_coarse()?
+            .recovering(self.iterations, &self.faults, policy))
+    }
+
+    /// Validates the scenario, checks its memory feasibility, and makes the
+    /// COARSE deployment decision once. Harnesses that need several runs of
+    /// the same scenario (a clean reference next to an observed run) run
+    /// them all on the returned handle.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TrainError`] if validation fails or the batch does not
+    /// fit.
+    pub(crate) fn prepare_coarse(&self) -> Result<Prepared<'_>, TrainError> {
         self.validate()?;
         self.check_memory()?;
         let part = self.machine.partition(self.partition);
-        Ok(simulate_coarse_recovering(
+        Ok(prepare(
             &self.machine,
             &part,
             &self.model,
             self.batch_per_gpu,
-            self.iterations,
-            &self.faults,
-            policy,
         ))
     }
 
@@ -403,6 +389,8 @@ mod tests {
     use super::*;
     use coarse_simcore::time::{SimDuration, SimTime};
 
+    use crate::coarse::simulate_coarse;
+
     #[test]
     fn scenario_matches_direct_simulation() {
         let s = Scenario::preset("fig16d");
@@ -411,6 +399,28 @@ mod tests {
         let p = m.partition(PartitionScheme::OneToOne);
         let want = simulate_coarse(&m, &p, &bert_large(), 2, 3);
         assert_eq!(got, want, "builder must not perturb the run");
+    }
+
+    #[test]
+    fn single_run_entry_points_prepare_once() {
+        let s = Scenario::preset("fig16b").iterations(2);
+        let once = |what: &str, run: &dyn Fn()| {
+            let before = crate::coarse::prepare_count::get();
+            run();
+            assert_eq!(crate::coarse::prepare_count::get() - before, 1, "{what}");
+        };
+        once("run", &|| {
+            s.run().unwrap();
+        });
+        once("run_faulty", &|| {
+            s.run_faulty().unwrap();
+        });
+        once("run_recovering", &|| {
+            s.run_recovering(&RecoveryPolicy::default()).unwrap();
+        });
+        once("reference_schedule", &|| {
+            crate::recovery::reference_schedule(&s).unwrap();
+        });
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //!    is caught by the retry-FIFO oracle, shrunk to a minimal fault plan,
 //!    and the serialized repro replays to the same failure;
 //! 3. repro documents round-trip byte-for-byte and reconstruct scenarios
-//!    that re-run deterministically.
+//!    that re-run deterministically;
+//! 4. sampled plans on the 2-node cluster, whose proxy tier spans nodes,
+//!    survive dropouts that leave the per-node proxy rings unequal.
 
+use coarse_repro::fabric::machines::MachineBuilder;
+use coarse_repro::models::zoo::bert_large;
+use coarse_repro::simcore::faults::{FaultPlanGen, FaultSpec};
 use coarse_repro::trainsim::chaos::{replay, soak, ChaosRepro, SoakConfig};
-use coarse_repro::trainsim::{Sabotage, Scenario};
+use coarse_repro::trainsim::{chaos_run_case, universe_for, Sabotage, Scenario};
 
 fn bounded_config() -> SoakConfig {
     SoakConfig {
@@ -114,4 +119,53 @@ fn repro_documents_round_trip_and_rerun_deterministically() {
         .run_faulty()
         .expect("fits");
     assert_eq!(a, b, "replayed runs must be deterministic");
+}
+
+/// Runs the sampled chaos plans `seeds` on the 2-node V100 cluster (the
+/// Fig. 16f shape: proxies on both nodes, hierarchical proxy collectives
+/// over the network) and asserts none panics or violates an oracle.
+/// Returns how many of the plans dropped a device.
+fn run_cluster_plans(seeds: std::ops::Range<u64>) -> usize {
+    let machine = MachineBuilder::preset("aws_v100").cluster(2).build();
+    let base = Scenario::new("v100-2node", machine, bert_large()).iterations(2);
+    let gen = FaultPlanGen::new(universe_for(&base)).max_events(4);
+    let mut dropouts = 0;
+    for seed in seeds {
+        let plan = gen.sample(seed);
+        if plan
+            .specs()
+            .iter()
+            .any(|s| matches!(s, FaultSpec::Dropout(_)))
+        {
+            dropouts += 1;
+        }
+        let case = chaos_run_case(&base.clone().faults(plan), Sabotage::None)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(
+            case.violations.is_empty(),
+            "seed {seed}: {:?}",
+            case.rendered_violations()
+        );
+    }
+    dropouts
+}
+
+// Sixty plans in two halves so the test harness runs them side by side.
+// Dropouts are what leave the per-node proxy rings unequal, so each half
+// must contain some.
+
+#[test]
+fn two_node_cluster_plans_0_to_30_survive_uneven_proxy_rings() {
+    assert!(
+        run_cluster_plans(0..30) > 0,
+        "no sampled plan dropped a proxy"
+    );
+}
+
+#[test]
+fn two_node_cluster_plans_30_to_60_survive_uneven_proxy_rings() {
+    assert!(
+        run_cluster_plans(30..60) > 0,
+        "no sampled plan dropped a proxy"
+    );
 }
