@@ -411,6 +411,143 @@ impl TransferEngine {
         result
     }
 
+    /// Sends `size` bytes from `src` to `dst` as back-to-back wire shards of
+    /// `shard` bytes (split by [`shard_sizes`]): each shard departs when the
+    /// previous one is delivered, the first at `arrival`. The record spans
+    /// the first shard's start to the last shard's delivery. With a
+    /// critical-path recorder attached, [`last_crit_entry_node`] is the first
+    /// shard's entry and [`last_crit_node`] the last shard's pacing node.
+    ///
+    /// Equivalent to chaining [`transfer_masked`](Self::transfer_masked)
+    /// over the shards. When nothing needs per-shard observation (no tracer,
+    /// profiler, critical-path recorder, oracle battery or active fault
+    /// plan), the full shards after the first are scheduled as one closed-form
+    /// train; see [`ResourceTimeline::reserve_train`].
+    ///
+    /// [`last_crit_entry_node`]: Self::last_crit_entry_node
+    /// [`last_crit_node`]: Self::last_crit_node
+    ///
+    /// # Errors
+    ///
+    /// Returns the first shard's error, as [`transfer_masked`](Self::transfer_masked).
+    pub fn transfer_sharded(
+        &mut self,
+        src: DeviceId,
+        dst: DeviceId,
+        size: ByteSize,
+        shard: ByteSize,
+        arrival: SimTime,
+        mask: LinkMask,
+    ) -> Result<TransferRecord, TransferError> {
+        let (full, tail) = shard_split(size, shard);
+        if full == 0 {
+            return self.transfer_masked(src, dst, size, arrival, mask);
+        }
+        let first = self.transfer_masked(src, dst, shard, arrival, mask)?;
+        let entry = self.last_crit_entry;
+        let mut end = first.end;
+        let mut rest = full - 1;
+        if rest > 0 && src != dst && self.trains_allowed() {
+            if let Some(train_end) = self.shard_train(src, dst, shard, rest, end, mask)? {
+                end = train_end;
+                rest = 0;
+            }
+        }
+        for s in std::iter::repeat_n(shard, rest as usize).chain(tail) {
+            end = self.transfer_masked(src, dst, s, end, mask)?.end;
+        }
+        if self.critpath.is_some() {
+            self.last_crit_entry = entry;
+        }
+        Ok(TransferRecord {
+            start: first.start,
+            end,
+            size,
+        })
+    }
+
+    /// Whether nothing attached to the engine observes individual shards:
+    /// tracing, profiling and critical-path recording need per-shard spans,
+    /// region enters and nodes, the oracles per-shard ledger events, and a
+    /// fault plan a check at each shard's arrival. Metrics are batched.
+    fn trains_allowed(&self) -> bool {
+        active(&self.tracer).is_none()
+            && self.profiler.is_none()
+            && self.critpath.is_none()
+            && self.oracles.is_none()
+            && self.fault_plan().is_none()
+    }
+
+    /// Schedules `count` full shards of `shard` bytes, the first arriving at
+    /// `arrival`, in closed form; returns the last delivery, or `None` when
+    /// the routes do not allow the closed form (staging legs sharing a link).
+    ///
+    /// Exact because every link is a FIFO and the caller has just delivered
+    /// an identical shard over the same routes: that shard left each link
+    /// by `arrival`, so no shard of the train queues. Shard `j` enters leg
+    /// `i` at `arrival + j·stride + Σ_{k<i}(occ_k + lat_k)`, where
+    /// `stride = Σ_k (occ_k + lat_k)`.
+    fn shard_train(
+        &mut self,
+        src: DeviceId,
+        dst: DeviceId,
+        shard: ByteSize,
+        count: u64,
+        arrival: SimTime,
+        mask: LinkMask,
+    ) -> Result<Option<SimTime>, TransferError> {
+        let staged = self.needs_staging(src, dst);
+        let route = |from: DeviceId, to: DeviceId| {
+            self.cached_route(from, to, mask)
+                .ok_or(TransferError::NoRoute { src: from, dst: to })
+        };
+        let legs: [Option<Rc<Route>>; 2] = if staged {
+            let cpu = self.topo.host_cpu(self.topo.device(src).node());
+            [Some(route(src, cpu)?), Some(route(cpu, dst)?)]
+        } else {
+            [Some(route(src, dst)?), None]
+        };
+        if let [Some(a), Some(b)] = &legs {
+            if a.links().iter().any(|l| b.links().contains(l)) {
+                return Ok(None);
+            }
+        }
+        let mut occ = [SimDuration::ZERO; 2];
+        let mut stride = SimDuration::ZERO;
+        for (i, leg) in legs.iter().enumerate() {
+            let Some(leg) = leg else { continue };
+            occ[i] = leg
+                .links()
+                .iter()
+                .map(|&l| self.topo.link(l).model().serialization_time(shard))
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            stride += occ[i] + leg.total_latency();
+        }
+        let mut enter = arrival;
+        for (i, leg) in legs.iter().enumerate() {
+            let Some(leg) = leg else { continue };
+            for &l in leg.links() {
+                self.schedules[l.index()].reserve_train(enter, occ[i], stride, count);
+            }
+            enter += occ[i] + leg.total_latency();
+            if let Some(m) = metered(&self.metrics) {
+                m.inc(metric::FABRIC_TRANSFERS, count);
+                m.inc(metric::FABRIC_BYTES, shard.as_u64() * count);
+                m.inc(
+                    metric::FABRIC_LINK_BUSY_NS,
+                    occ[i].as_nanos() * leg.links().len() as u64 * count,
+                );
+            }
+        }
+        if staged {
+            if let Some(m) = metered(&self.metrics) {
+                m.inc(metric::FABRIC_STAGED, count);
+            }
+        }
+        Ok(Some(arrival + stride * count))
+    }
+
     fn transfer_masked_inner(
         &mut self,
         src: DeviceId,
@@ -725,6 +862,28 @@ impl TransferEngine {
     }
 }
 
+/// `(full, tail)`: the number of full `shard`-byte wire shards of a
+/// `size`-byte payload and the remainder that travels after them. A payload
+/// smaller than two full shards travels whole, as the tail.
+fn shard_split(size: ByteSize, shard: ByteSize) -> (u64, Option<ByteSize>) {
+    if size.as_u64() < 2 * shard.as_u64() {
+        return (0, Some(size));
+    }
+    let rem = size.as_u64() % shard.as_u64();
+    (
+        size.as_u64() / shard.as_u64(),
+        (rem > 0).then(|| ByteSize::bytes(rem)),
+    )
+}
+
+/// Splits a payload into wire shards of `shard` bytes (remainder last); a
+/// payload smaller than two full shards travels whole. Allocation-free.
+/// [`TransferEngine::transfer_sharded`] sends exactly these shards.
+pub fn shard_sizes(size: ByteSize, shard: ByteSize) -> impl Iterator<Item = ByteSize> {
+    let (full, tail) = shard_split(size, shard);
+    std::iter::repeat_n(shard, full as usize).chain(tail)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,6 +969,94 @@ mod tests {
         // Two sequential 2-hop transfers: (1000+20) + (1000+20).
         assert_eq!(r.end, SimTime::from_nanos(2040));
         assert!(e.needs_staging(g0, g1));
+    }
+
+    #[test]
+    fn sharded_transfer_timing() {
+        let (t, g0, g1, _) = topo();
+        let first_link = t.route(g0, g1).unwrap().links()[0];
+        let mut e = TransferEngine::new(t);
+        // Shards 1000, 1000, 1000, then the 500-byte tail; each departs on
+        // the previous one's delivery, 2 hops × 10ns after serialization.
+        let r = e
+            .transfer_sharded(
+                g0,
+                g1,
+                ByteSize::bytes(3500),
+                ByteSize::bytes(1000),
+                SimTime::ZERO,
+                LinkMask::ALL,
+            )
+            .unwrap();
+        assert_eq!(r.start, SimTime::ZERO);
+        assert_eq!(r.end, SimTime::from_nanos(3 * 1020 + 520));
+        assert_eq!(r.size, ByteSize::bytes(3500));
+        assert_eq!(e.link_busy_time(first_link), SimDuration::from_nanos(3500));
+    }
+
+    /// Sharded and chained transfers over two engines: records, per-link
+    /// schedules and critical-path node counts agree.
+    fn assert_sharded_matches_chained(t: Topology, src: DeviceId, dst: DeviceId, record: bool) {
+        let (size, shard) = (ByteSize::bytes(4500), ByteSize::bytes(1000));
+        let (cp_sharded, cp_chained) = (CritPath::new(), CritPath::new());
+        let mut sharded = TransferEngine::new(t.clone());
+        let mut chained = TransferEngine::new(t.clone());
+        if record {
+            sharded.set_critpath(cp_sharded.clone());
+            chained.set_critpath(cp_chained.clone());
+        }
+        let got = sharded
+            .transfer_sharded(src, dst, size, shard, SimTime::ZERO, LinkMask::ALL)
+            .unwrap();
+        let mut end = SimTime::ZERO;
+        let mut entry = None;
+        for s in shard_sizes(size, shard) {
+            end = chained
+                .transfer_masked(src, dst, s, end, LinkMask::ALL)
+                .unwrap()
+                .end;
+            entry = entry.or(chained.last_crit_entry_node());
+        }
+        assert_eq!((got.start, got.end), (SimTime::ZERO, end));
+        for link in t.links() {
+            let l = link.id();
+            assert_eq!(sharded.link_busy_until(l), chained.link_busy_until(l));
+            assert_eq!(sharded.link_busy_time(l), chained.link_busy_time(l));
+        }
+        if record {
+            assert_eq!(cp_sharded.node_count(), cp_chained.node_count());
+            // The train departs at its first shard and ends at its last.
+            assert_eq!(sharded.last_crit_entry_node(), entry);
+            assert_eq!(sharded.last_crit_node(), chained.last_crit_node());
+            let last = sharded.last_crit_node().expect("recorded");
+            assert_eq!(cp_sharded.node_end(last), got.end);
+        }
+    }
+
+    #[test]
+    fn sharded_transfer_records_first_entry_and_last_node() {
+        let (mut t, g0, g1, _) = topo();
+        t.set_p2p(false);
+        assert_sharded_matches_chained(t, g0, g1, true);
+    }
+
+    #[test]
+    fn sharded_staging_legs_sharing_a_link_fall_back() {
+        // One-way links: a → s1 → s2 → cpu and cpu → s1 → s2 → b, so both
+        // staging legs of a → b cross s1 → s2.
+        let mut t = Topology::new();
+        let a = t.add_device(DeviceKind::Gpu, "a", 0);
+        let b = t.add_device(DeviceKind::Gpu, "b", 0);
+        let s1 = t.add_device(DeviceKind::Switch, "s1", 0);
+        let s2 = t.add_device(DeviceKind::Switch, "s2", 0);
+        let cpu = t.add_device(DeviceKind::Cpu, "cpu", 0);
+        for (x, y) in [(a, s1), (s1, s2), (s2, cpu), (cpu, s1), (s2, b)] {
+            t.add_link(x, y, flat(), lat(10), LinkClass::Pcie);
+        }
+        t.set_p2p(false);
+        let e = TransferEngine::new(t.clone());
+        assert!(e.needs_staging(a, b));
+        assert_sharded_matches_chained(t, a, b, false);
     }
 
     #[test]

@@ -74,6 +74,28 @@ impl ResourceTimeline {
         Grant { start, end }
     }
 
+    /// Reserves a train of `count` back-to-back requests of `duration`, the
+    /// `j`-th arriving at `first + j·stride`. Leaves exactly the state of
+    /// `count` calls to [`reserve`](Self::reserve) at those arrivals: with
+    /// the resource free at `first` and `stride >= duration`, every request
+    /// starts on arrival, so the train is closed-form arithmetic.
+    pub fn reserve_train(
+        &mut self,
+        first: SimTime,
+        duration: SimDuration,
+        stride: SimDuration,
+        count: u64,
+    ) {
+        if count == 0 {
+            return;
+        }
+        debug_assert!(first >= self.busy_until, "train queues behind the resource");
+        debug_assert!(stride >= duration, "train requests overlap");
+        self.busy_until = first + stride * (count - 1) + duration;
+        self.busy += duration * count;
+        self.served += count;
+    }
+
     /// Checks availability without reserving: when would a request arriving
     /// at `arrival` start service?
     pub fn earliest_start(&self, arrival: SimTime) -> SimTime {
@@ -129,6 +151,30 @@ mod tests {
         assert_eq!(r.busy_time(), SimDuration::from_nanos(20));
         assert!((r.utilization(SimTime::from_nanos(100)) - 0.2).abs() < 1e-12);
         assert_eq!(r.served(), 2);
+    }
+
+    #[test]
+    fn reserve_train_matches_repeated_reserve() {
+        let (duration, stride) = (SimDuration::from_nanos(7), SimDuration::from_nanos(11));
+        for preload in [0u64, 5, 40] {
+            for count in 0..6u64 {
+                let first = SimTime::from_nanos(40);
+                let mut looped = ResourceTimeline::new();
+                let mut train = ResourceTimeline::new();
+                if preload > 0 {
+                    looped.reserve(SimTime::ZERO, SimDuration::from_nanos(preload));
+                    train.reserve(SimTime::ZERO, SimDuration::from_nanos(preload));
+                }
+                for j in 0..count {
+                    let g = looped.reserve(first + stride * j, duration);
+                    assert_eq!(g.start, first + stride * j, "train request queued");
+                }
+                train.reserve_train(first, duration, stride, count);
+                assert_eq!(train.busy_until(), looped.busy_until(), "count {count}");
+                assert_eq!(train.busy_time(), looped.busy_time(), "count {count}");
+                assert_eq!(train.served(), looped.served(), "count {count}");
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use coarse_core::profiler::build_routing_table_for;
 use coarse_core::resilience::{FailureKind, RecoveryAction, RecoveryPolicy, ResiliencePolicy};
 use coarse_core::routing::RoutingTable;
 use coarse_fabric::device::DeviceId;
-use coarse_fabric::engine::{TransferEngine, TransferError};
+use coarse_fabric::engine::{shard_sizes, TransferEngine, TransferError};
 use coarse_fabric::machines::{Machine, Partition};
 use coarse_fabric::probe;
 use coarse_fabric::topology::{LinkClass, LinkMask, Topology};
@@ -86,7 +86,8 @@ struct Deployment<'a> {
     /// Per-node worker rings for the hierarchical GPU-path collective on
     /// clusters (NCCL's intra-node-then-network decomposition).
     node_gpu_rings: Vec<Vec<DeviceId>>,
-    needed: BTreeMap<usize, SimDuration>,
+    /// When the next forward pass needs each tensor, indexed by tensor.
+    needed: Vec<SimDuration>,
     /// Host-to-worker input bytes prefetched each iteration (0 = input
     /// pipeline not modeled).
     input_bytes: ByteSize,
@@ -322,37 +323,38 @@ impl Deployment<'_> {
                     for (w, &worker) in self.workers.iter().enumerate() {
                         let table = &self.tables[w];
                         let dest = table.route_for(size);
-                        let mut t = emitted;
-                        let mut first_shard = true;
-                        for s in shard_sizes(size, table.shard_size) {
-                            if let Some(p) = &prof {
-                                p.count(prof_region::TRAIN_PUSH, 1);
+                        if let Some(p) = &prof {
+                            let shards = shard_sizes(size, table.shard_size).count();
+                            p.count(prof_region::TRAIN_PUSH, shards as u64);
+                        }
+                        let t = engine
+                            .transfer_sharded(
+                                worker,
+                                dest,
+                                size,
+                                table.shard_size,
+                                emitted,
+                                PCIE_ONLY,
+                            )
+                            // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
+                            .expect("worker reaches its proxy")
+                            .end;
+                        if let Some(cp) = &crit {
+                            // The first shard leaves when the backward pass
+                            // emits the gradient; the edge lands on the
+                            // transfer's *entry* node so a staged first leg
+                            // still routes back to compute.
+                            if let (Some(n), Some(c)) = (engine.last_crit_entry_node(), compute) {
+                                cp.add_dep(n, c);
                             }
-                            let rec = engine
-                                .transfer_masked(worker, dest, s, t, PCIE_ONLY)
-                                // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
-                                .expect("worker reaches its proxy");
-                            t = rec.end;
-                            if let Some(cp) = &crit {
-                                // The first shard leaves when the backward
-                                // pass emits the gradient; the edge lands on
-                                // the transfer's *entry* node so a staged
-                                // first leg still routes back to compute.
-                                if first_shard {
-                                    if let (Some(n), Some(c)) =
-                                        (engine.last_crit_entry_node(), compute)
-                                    {
-                                        cp.add_dep(n, c);
-                                    }
-                                }
-                                if let Some(n) = engine.last_crit_node() {
-                                    let slot = arrivals.entry(dest).or_insert(n);
-                                    if cp.node_end(n) >= cp.node_end(*slot) {
-                                        *slot = n;
-                                    }
+                            // Shard deliveries are ordered, so the last
+                            // shard is the train's latest-finishing node.
+                            if let Some(n) = engine.last_crit_node() {
+                                let slot = arrivals.entry(dest).or_insert(n);
+                                if cp.node_end(n) >= cp.node_end(*slot) {
+                                    *slot = n;
                                 }
                             }
-                            first_shard = false;
                         }
                         let e = proxy_ready.entry(dest).or_insert(t);
                         *e = (*e).max(t);
@@ -434,34 +436,35 @@ impl Deployment<'_> {
                     for (w, &worker) in self.workers.iter().enumerate() {
                         let table = &self.tables[w];
                         let src = table.route_for(size);
-                        let mut t = sync_end;
-                        let mut first_shard = true;
-                        for s in shard_sizes(size, table.shard_size) {
-                            if let Some(p) = &prof {
-                                p.count(prof_region::TRAIN_PULL, 1);
-                            }
-                            let rec = engine
-                                .transfer_masked(src, worker, s, t, PCIE_ONLY)
-                                // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
-                                .expect("proxy reaches its worker");
-                            t = rec.end;
-                            // The first shard leaves when the collective
-                            // publishes the reduced bucket; the edge lands
-                            // on the transfer's *entry* node so a staged
-                            // first leg still routes back to the collective.
-                            if first_shard {
-                                if let (Some(cp), Some(n), Some(c)) =
-                                    (&crit, engine.last_crit_entry_node(), coll_node)
-                                {
-                                    cp.add_dep(n, c);
-                                }
-                            }
-                            first_shard = false;
+                        if let Some(p) = &prof {
+                            let shards = shard_sizes(size, table.shard_size).count();
+                            p.count(prof_region::TRAIN_PULL, shards as u64);
+                        }
+                        let t = engine
+                            .transfer_sharded(
+                                src,
+                                worker,
+                                size,
+                                table.shard_size,
+                                sync_end,
+                                PCIE_ONLY,
+                            )
+                            // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
+                            .expect("proxy reaches its worker")
+                            .end;
+                        // The first shard leaves when the collective
+                        // publishes the reduced bucket; the edge lands on
+                        // the transfer's *entry* node so a staged first leg
+                        // still routes back to the collective.
+                        if let (Some(cp), Some(n), Some(c)) =
+                            (&crit, engine.last_crit_entry_node(), coll_node)
+                        {
+                            cp.add_dep(n, c);
                         }
                         pull_end = pull_end.max(t);
                         // The tensor must be back before the next forward
                         // pass reaches its layer.
-                        next_start = next_start.max(t - self.needed[&ev.tensor]);
+                        next_start = next_start.max(t - self.needed[ev.tensor]);
                         if let Some(cp) = &crit {
                             if let Some(n) = engine.last_crit_node() {
                                 // The instant this tensor stops gating the
@@ -469,7 +472,7 @@ impl Deployment<'_> {
                                 let gate = cp.instant(
                                     crit_class::SYNC,
                                     format!("pull ready t{} w{w}", ev.tensor),
-                                    t - self.needed[&ev.tensor],
+                                    t - self.needed[ev.tensor],
                                     &[n],
                                 );
                                 sink_deps.push(gate);
@@ -1033,7 +1036,7 @@ impl Deployment<'_> {
                             }
                         }
                         run_end = run_end.max(t);
-                        next_start = next_start.max(t - self.needed[&ev.tensor]);
+                        next_start = next_start.max(t - self.needed[ev.tensor]);
                     }
                 }
             }
@@ -1606,7 +1609,7 @@ impl Deployment<'_> {
                             }
                         }
                         run_end = run_end.max(t);
-                        next_start = next_start.max(t - self.needed[&ev.tensor]);
+                        next_start = next_start.max(t - self.needed[ev.tensor]);
                     }
                 }
             }
@@ -3015,11 +3018,13 @@ fn prepare_traced<'a>(
         _ => dualsync::optimize(&inputs),
     };
 
-    let needed: BTreeMap<usize, SimDuration> = plan
-        .forward_needs()
-        .iter()
-        .map(|n| (n.tensor, n.needed))
-        .collect();
+    let needs = plan.forward_needs();
+    assert!(
+        needs.len() == model.tensors().len()
+            && needs.iter().enumerate().all(|(i, n)| n.tensor == i),
+        "every tensor has one forward need, in tensor order"
+    );
+    let needed: Vec<SimDuration> = needs.iter().map(|n| n.needed).collect();
 
     let deployment = Deployment {
         machine,
@@ -3259,22 +3264,6 @@ pub fn coarse_hotspots(
     prepare(machine, partition, model, batch_per_gpu)
         .with_hotspots(3, top_n)
         .1
-}
-
-/// Splits a payload into wire shards of `shard` bytes (remainder last); a
-/// payload smaller than two full shards travels whole. Allocation-free:
-/// push/pull inner loops iterate this once per (tensor, worker).
-fn shard_sizes(size: ByteSize, shard: ByteSize) -> impl Iterator<Item = ByteSize> {
-    let (full, tail) = if size.as_u64() < 2 * shard.as_u64() {
-        (0, Some(size))
-    } else {
-        let rem = size.as_u64() % shard.as_u64();
-        (
-            size.as_u64() / shard.as_u64(),
-            (rem > 0).then(|| ByteSize::bytes(rem)),
-        )
-    };
-    std::iter::repeat_n(shard, full as usize).chain(tail)
 }
 
 #[cfg(test)]
