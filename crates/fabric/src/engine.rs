@@ -130,8 +130,9 @@ pub struct TransferEngine {
     /// [`LinkMask`] has 16 possible values). The outer `Option` is
     /// "not yet computed"; the inner one caches *unroutability* too. Routes
     /// are shared as `Rc`, so the steady-state transfer path never runs
-    /// Dijkstra nor clones a hop list. Bypassed whenever a non-empty fault
-    /// plan is active (flaps make routes time-dependent).
+    /// Dijkstra nor clones a hop list. Bypassed only while a flap of the
+    /// attached fault plan is active: outside flap windows no link is down,
+    /// so the fault-filtered route is the masked route cached here.
     // simlint: allow(parallel-ready, reason = "memoizes pure Dijkstra results; worst case under races is recomputing an identical route")
     route_cache: RefCell<Vec<Option<Option<Rc<Route>>>>>,
 }
@@ -412,7 +413,7 @@ impl TransferEngine {
     }
 
     /// Sends `size` bytes from `src` to `dst` as back-to-back wire shards of
-    /// `shard` bytes (split by [`shard_sizes`]): each shard departs when the
+    /// `shard` bytes (split by [`Shards`]): each shard departs when the
     /// previous one is delivered, the first at `arrival`. The record spans
     /// the first shard's start to the last shard's delivery. With a
     /// critical-path recorder attached, [`last_crit_entry_node`] is the first
@@ -439,7 +440,7 @@ impl TransferEngine {
         arrival: SimTime,
         mask: LinkMask,
     ) -> Result<TransferRecord, TransferError> {
-        let (full, tail) = shard_split(size, shard);
+        let Shards { full, tail, .. } = Shards::new(size, shard);
         if full == 0 {
             return self.transfer_masked(src, dst, size, arrival, mask);
         }
@@ -634,21 +635,21 @@ impl TransferEngine {
     ) -> Result<TransferRecord, TransferError> {
         // Flapped links are excluded from routing, so the engine re-routes
         // around an outage when a detour exists and reports `NoRoute` when
-        // the endpoints are genuinely cut off. Faulty routes are
-        // time-dependent, so only the healthy branch consults the cache.
-        let route = match self.fault_plan() {
+        // the endpoints are genuinely cut off. Outside flap windows no link
+        // is down, so the filter reduces to the mask and the cached route is
+        // exact; only transfers arriving during a flap route uncached.
+        let flapping = self.fault_plan().filter(|p| p.any_flap_active(arrival));
+        let route = match flapping {
             Some(plan) => {
                 // Conservative flap bite: any active flap anywhere may have
                 // shifted this route, so the run no longer counts as clean.
                 // Over-reporting is sound (it only widens the set of runs
                 // the clean-run-equivalence oracle skips).
-                if plan.any_flap_active(arrival) {
-                    if let Some(hub) = &self.oracles {
-                        hub.emit(OracleEvent::FaultBite {
-                            kind: BiteKind::Flap,
-                            at: arrival,
-                        });
-                    }
+                if let Some(hub) = &self.oracles {
+                    hub.emit(OracleEvent::FaultBite {
+                        kind: BiteKind::Flap,
+                        at: arrival,
+                    });
                 }
                 self.topo
                     .route_filtered(src, dst, |l| {
@@ -862,26 +863,65 @@ impl TransferEngine {
     }
 }
 
-/// `(full, tail)`: the number of full `shard`-byte wire shards of a
-/// `size`-byte payload and the remainder that travels after them. A payload
-/// smaller than two full shards travels whole, as the tail.
-fn shard_split(size: ByteSize, shard: ByteSize) -> (u64, Option<ByteSize>) {
-    if size.as_u64() < 2 * shard.as_u64() {
-        return (0, Some(size));
-    }
-    let rem = size.as_u64() % shard.as_u64();
-    (
-        size.as_u64() / shard.as_u64(),
-        (rem > 0).then(|| ByteSize::bytes(rem)),
-    )
+/// The wire shards of a payload: `full` shards of `shard` bytes, then the
+/// `tail` remainder when there is one. A payload smaller than two full
+/// shards travels whole, as the tail. `Copy` and allocation-free, so fault
+/// loops can index a tensor's shards and restart the stream without
+/// collecting them; [`TransferEngine::transfer_sharded`] sends exactly
+/// these shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shards {
+    full: u64,
+    shard: ByteSize,
+    tail: Option<ByteSize>,
 }
 
-/// Splits a payload into wire shards of `shard` bytes (remainder last); a
-/// payload smaller than two full shards travels whole. Allocation-free.
-/// [`TransferEngine::transfer_sharded`] sends exactly these shards.
-pub fn shard_sizes(size: ByteSize, shard: ByteSize) -> impl Iterator<Item = ByteSize> {
-    let (full, tail) = shard_split(size, shard);
-    std::iter::repeat_n(shard, full as usize).chain(tail)
+impl Shards {
+    /// Splits a `size`-byte payload into wire shards of `shard` bytes.
+    pub fn new(size: ByteSize, shard: ByteSize) -> Shards {
+        if size.as_u64() < 2 * shard.as_u64() {
+            return Shards {
+                full: 0,
+                shard,
+                tail: Some(size),
+            };
+        }
+        let rem = size.as_u64() % shard.as_u64();
+        Shards {
+            full: size.as_u64() / shard.as_u64(),
+            shard,
+            tail: (rem > 0).then(|| ByteSize::bytes(rem)),
+        }
+    }
+
+    /// The number of shards (at least one: an empty payload is one empty
+    /// shard).
+    pub fn len(&self) -> usize {
+        self.full as usize + usize::from(self.tail.is_some())
+    }
+
+    /// Always `false`: every payload travels as at least one shard.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The size of shard `i`, or `None` past the last shard.
+    pub fn get(&self, i: usize) -> Option<ByteSize> {
+        match (i as u64).cmp(&self.full) {
+            std::cmp::Ordering::Less => Some(self.shard),
+            std::cmp::Ordering::Equal => self.tail,
+            std::cmp::Ordering::Greater => None,
+        }
+    }
+}
+
+impl IntoIterator for Shards {
+    type Item = ByteSize;
+    type IntoIter = std::iter::Chain<std::iter::RepeatN<ByteSize>, std::option::IntoIter<ByteSize>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::repeat_n(self.shard, self.full as usize).chain(self.tail)
+    }
 }
 
 #[cfg(test)]
@@ -1010,7 +1050,7 @@ mod tests {
             .unwrap();
         let mut end = SimTime::ZERO;
         let mut entry = None;
-        for s in shard_sizes(size, shard) {
+        for s in Shards::new(size, shard) {
             end = chained
                 .transfer_masked(src, dst, s, end, LinkMask::ALL)
                 .unwrap()
@@ -1057,6 +1097,38 @@ mod tests {
         let e = TransferEngine::new(t.clone());
         assert!(e.needs_staging(a, b));
         assert_sharded_matches_chained(t, a, b, false);
+    }
+
+    /// The split rule spelled out: a payload under two shards travels
+    /// whole, anything larger as full shards with the remainder last.
+    fn reference_shards(size: u64, shard: u64) -> Vec<u64> {
+        if size < 2 * shard {
+            return vec![size];
+        }
+        let mut out = vec![shard; (size / shard) as usize];
+        out.extend(Some(size % shard).filter(|&tail| tail > 0));
+        out
+    }
+
+    #[test]
+    fn shard_view_matches_the_split_rule() {
+        let shard = 1000;
+        // Empty, under two shards, exact multiples, multiples with a tail.
+        for size in [
+            0, 1, 999, 1000, 1999, 2000, 2001, 3000, 3500, 64_000, 64_999,
+        ] {
+            let view = Shards::new(ByteSize::bytes(size), ByteSize::bytes(shard));
+            let want = reference_shards(size, shard);
+            assert_eq!(view.len(), want.len(), "len of {size}");
+            assert!(!view.is_empty());
+            for (i, &w) in want.iter().enumerate() {
+                assert_eq!(view.get(i), Some(ByteSize::bytes(w)), "shard {i} of {size}");
+            }
+            assert_eq!(view.get(want.len()), None);
+            let got: Vec<u64> = view.into_iter().map(|s| s.as_u64()).collect();
+            assert_eq!(got, want, "shards of {size}");
+            assert_eq!(got.iter().sum::<u64>(), size);
+        }
     }
 
     #[test]

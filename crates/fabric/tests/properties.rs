@@ -205,7 +205,7 @@ fn engine_timing_exact() {
 #[test]
 fn sharded_transfer_matches_chained_shards() {
     use coarse_fabric::device::DeviceId;
-    use coarse_fabric::engine::shard_sizes;
+    use coarse_fabric::engine::Shards;
     use coarse_fabric::topology::LinkMask;
     use coarse_simcore::metrics::MetricRegistry;
 
@@ -265,7 +265,7 @@ fn sharded_transfer_matches_chained_shards() {
             let want = (|| {
                 let mut t = arrival;
                 let mut start = None;
-                for s in shard_sizes(size, shard) {
+                for s in Shards::new(size, shard) {
                     let rec = chained.transfer_masked(src, dst, s, t, mask)?;
                     start.get_or_insert(rec.start);
                     t = rec.end;
@@ -284,6 +284,150 @@ fn sharded_transfer_matches_chained_shards() {
             }
             random_transfer(g, &mut sharded, &mut chained);
             assert_eq!(sharded_m.snapshot(), chained_m.snapshot());
+        },
+    );
+}
+
+/// Transfers under a fault plan schedule exactly as routing every one of
+/// them around the plan's flapped links would. Plans come from
+/// `FaultPlanGen` on the staged T4, the V100 with and without a CCI mesh,
+/// and the 2-node cluster; arrivals fall inside and outside flap windows.
+/// The reference is a twin engine with the same plan attached that routes
+/// each leg with `route_filtered` under the flap predicate and schedules it
+/// with `transfer_on_route`. Compared: every record or error, and every
+/// link's schedule after each transfer.
+#[test]
+fn fault_plan_routing_matches_filtered_routing() {
+    use coarse_fabric::device::DeviceId;
+    use coarse_fabric::engine::TransferError;
+    use coarse_fabric::topology::LinkMask;
+    use coarse_simcore::faults::{FaultPlan, FaultPlanGen, FaultSpec, FaultUniverse};
+
+    let meshed = {
+        let mut m = machines::aws_v100();
+        let part = m.partition(machines::PartitionScheme::OneToOne);
+        m.augment_cci_mesh(&part.mem_devices);
+        m
+    };
+    let fabrics = [
+        machines::aws_t4(),
+        machines::aws_v100(),
+        meshed,
+        machines::aws_v100_cluster(2),
+    ];
+    let masks = [
+        LinkMask::ALL,
+        LinkMask::only(LinkClass::Pcie),
+        LinkMask::only(LinkClass::Cci),
+    ];
+    const HORIZON_NS: u64 = 4_000_000;
+
+    /// One reference leg: route around the links flapped at `at`, then
+    /// schedule on that route.
+    fn filtered_leg(
+        e: &mut TransferEngine,
+        plan: &FaultPlan,
+        (src, dst): (DeviceId, DeviceId),
+        size: ByteSize,
+        at: SimTime,
+        mask: LinkMask,
+    ) -> Result<TransferRecord, TransferError> {
+        let route = e
+            .topology()
+            .route_filtered(src, dst, |l| {
+                mask.allows(l.class())
+                    && !plan.link_down(l.src().index() as u32, l.dst().index() as u32, at)
+            })
+            .ok_or(TransferError::NoRoute { src, dst })?;
+        Ok(e.transfer_on_route(&route, size, at))
+    }
+
+    run_cases(
+        "fault_plan_routing_matches_filtered_routing",
+        192,
+        |g: &mut Gen| {
+            let machine = g.choose(&fabrics);
+            let topo = machine.topology().clone();
+            let endpoints: Vec<DeviceId> = topo
+                .devices()
+                .filter(|d| d.kind() != DeviceKind::Switch)
+                .map(|d| d.id())
+                .collect();
+            let mut links: Vec<(u32, u32)> = topo
+                .links()
+                .map(|l| {
+                    let (a, b) = (l.src().index() as u32, l.dst().index() as u32);
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            links.sort_unstable();
+            links.dedup();
+            let plan = FaultPlanGen::new(FaultUniverse {
+                devices: machine.gpus().iter().map(|d| d.index() as u32).collect(),
+                links,
+                horizon: SimDuration::from_nanos(HORIZON_NS),
+            })
+            .max_events(6)
+            .sample(g.any_u64());
+            let flaps: Vec<(u64, u64)> = plan
+                .specs()
+                .iter()
+                .filter_map(|s| match s {
+                    FaultSpec::Flap(f) => Some((f.from.as_nanos(), f.until.as_nanos())),
+                    _ => None,
+                })
+                .collect();
+
+            let mut engine = TransferEngine::new(topo.clone());
+            let mut twin = TransferEngine::new(topo.clone());
+            engine.set_fault_plan(plan.clone());
+            twin.set_fault_plan(plan.clone());
+            for _ in 0..g.usize_in(1..12) {
+                let src = *g.choose(&endpoints);
+                let dst = *g.choose(&endpoints);
+                let size = ByteSize::bytes(g.u64_in(1..4 << 20));
+                let mask = *g.choose(&masks);
+                let at = if flaps.is_empty() || g.bool() {
+                    g.u64_in(0..HORIZON_NS + HORIZON_NS / 4)
+                } else {
+                    let &(from, until) = g.choose(&flaps);
+                    g.u64_in(from..until)
+                };
+                let at = SimTime::from_nanos(at);
+
+                let got = engine.transfer_masked(src, dst, size, at, mask);
+                let want = (|| {
+                    for device in [src, dst] {
+                        if plan.device_down(device.index() as u32, at) {
+                            return Err(TransferError::DeviceDown { device });
+                        }
+                    }
+                    if src == dst {
+                        return Ok(TransferRecord {
+                            start: at,
+                            end: at,
+                            size,
+                        });
+                    }
+                    if !twin.needs_staging(src, dst) {
+                        return filtered_leg(&mut twin, &plan, (src, dst), size, at, mask);
+                    }
+                    let cpu = topo.host_cpu(topo.device(src).node());
+                    let first = filtered_leg(&mut twin, &plan, (src, cpu), size, at, mask)?;
+                    let second = filtered_leg(&mut twin, &plan, (cpu, dst), size, first.end, mask)?;
+                    Ok(TransferRecord {
+                        start: first.start,
+                        end: second.end,
+                        size,
+                    })
+                })();
+                assert_eq!(got, want, "{src} -> {dst}, {size} at {at} over {mask:?}");
+                for link in topo.links() {
+                    let l = link.id();
+                    assert_eq!(engine.link_busy_until(l), twin.link_busy_until(l));
+                    assert_eq!(engine.link_busy_time(l), twin.link_busy_time(l));
+                }
+            }
         },
     );
 }

@@ -21,7 +21,7 @@ use coarse_core::profiler::build_routing_table_for;
 use coarse_core::resilience::{FailureKind, RecoveryAction, RecoveryPolicy, ResiliencePolicy};
 use coarse_core::routing::RoutingTable;
 use coarse_fabric::device::DeviceId;
-use coarse_fabric::engine::{shard_sizes, TransferEngine, TransferError};
+use coarse_fabric::engine::{Shards, TransferEngine, TransferError};
 use coarse_fabric::machines::{Machine, Partition};
 use coarse_fabric::probe;
 use coarse_fabric::topology::{LinkClass, LinkMask, Topology};
@@ -324,7 +324,7 @@ impl Deployment<'_> {
                         let table = &self.tables[w];
                         let dest = table.route_for(size);
                         if let Some(p) = &prof {
-                            let shards = shard_sizes(size, table.shard_size).count();
+                            let shards = Shards::new(size, table.shard_size).len();
                             p.count(prof_region::TRAIN_PUSH, shards as u64);
                         }
                         let t = engine
@@ -437,7 +437,7 @@ impl Deployment<'_> {
                         let table = &self.tables[w];
                         let src = table.route_for(size);
                         if let Some(p) = &prof {
-                            let shards = shard_sizes(size, table.shard_size).count();
+                            let shards = Shards::new(size, table.shard_size).len();
                             p.count(prof_region::TRAIN_PULL, shards as u64);
                         }
                         let t = engine
@@ -844,19 +844,18 @@ impl Deployment<'_> {
                     latest_emit = latest_emit.max(emitted);
                     for (w, &worker) in self.workers.iter().enumerate() {
                         let mut dest = state.tables[w].route_for(size);
-                        let shards: Vec<ByteSize> =
-                            shard_sizes(size, state.tables[w].shard_size).collect();
+                        let shards = Shards::new(size, state.tables[w].shard_size);
                         let stream = stream_id(k, false, ev.tensor);
                         let mut t = emitted;
                         let mut i = 0;
-                        while i < shards.len() {
+                        while let Some(shard) = shards.get(i) {
                             match resilient_shard_transfer(
                                 &mut engine,
                                 plan,
                                 policy,
                                 worker,
                                 dest,
-                                shards[i],
+                                shard,
                                 t,
                                 &mut transfer_seq,
                                 &mut stats,
@@ -977,8 +976,7 @@ impl Deployment<'_> {
                     let size = model.tensors()[ev.tensor].byte_size();
                     for (w, &worker) in self.workers.iter().enumerate() {
                         let mut src = state.tables[w].route_for(size);
-                        let shards: Vec<ByteSize> =
-                            shard_sizes(size, state.tables[w].shard_size).collect();
+                        let shards = Shards::new(size, state.tables[w].shard_size);
                         let stream = stream_id(k, true, ev.tensor);
                         let stall = plan.stall(src.index() as u32, sync_end);
                         if stall > SimDuration::ZERO {
@@ -989,14 +987,14 @@ impl Deployment<'_> {
                         }
                         let mut t = sync_end + stall;
                         let mut i = 0;
-                        while i < shards.len() {
+                        while let Some(shard) = shards.get(i) {
                             match resilient_shard_transfer(
                                 &mut engine,
                                 plan,
                                 policy,
                                 src,
                                 worker,
-                                shards[i],
+                                shard,
                                 t,
                                 &mut transfer_seq,
                                 &mut stats,
@@ -1343,12 +1341,11 @@ impl Deployment<'_> {
                     latest_emit = latest_emit.max(emitted);
                     for (w, &worker) in self.workers.iter().enumerate() {
                         let mut dest = state.tables[w].route_for(size);
-                        let shards: Vec<ByteSize> =
-                            shard_sizes(size, state.tables[w].shard_size).collect();
+                        let shards = Shards::new(size, state.tables[w].shard_size);
                         let stream = stream_id(attempt, false, ev.tensor);
                         let mut t = emitted;
                         let mut i = 0;
-                        while i < shards.len() {
+                        while let Some(shard) = shards.get(i) {
                             match recovering_shard_transfer(
                                 &mut engine,
                                 plan,
@@ -1356,7 +1353,7 @@ impl Deployment<'_> {
                                 worker,
                                 dest,
                                 dest,
-                                shards[i],
+                                shard,
                                 t,
                                 &mut transfer_seq,
                                 &mut stats,
@@ -1535,8 +1532,7 @@ impl Deployment<'_> {
                     let size = model.tensors()[ev.tensor].byte_size();
                     for (w, &worker) in self.workers.iter().enumerate() {
                         let mut src = state.tables[w].route_for(size);
-                        let shards: Vec<ByteSize> =
-                            shard_sizes(size, state.tables[w].shard_size).collect();
+                        let shards = Shards::new(size, state.tables[w].shard_size);
                         let stream = stream_id(attempt, true, ev.tensor);
                         let stall = plan.stall(src.index() as u32, sync_end);
                         if stall > SimDuration::ZERO {
@@ -1547,7 +1543,7 @@ impl Deployment<'_> {
                         }
                         let mut t = sync_end + stall;
                         let mut i = 0;
-                        while i < shards.len() {
+                        while let Some(shard) = shards.get(i) {
                             match recovering_shard_transfer(
                                 &mut engine,
                                 plan,
@@ -1555,7 +1551,7 @@ impl Deployment<'_> {
                                 src,
                                 worker,
                                 src,
-                                shards[i],
+                                shard,
                                 t,
                                 &mut transfer_seq,
                                 &mut stats,
@@ -3276,12 +3272,13 @@ mod tests {
 
     #[test]
     fn shard_sizes_tile_payload() {
-        let total: u64 = shard_sizes(ByteSize::bytes(10_000), ByteSize::bytes(3000))
+        let total: u64 = Shards::new(ByteSize::bytes(10_000), ByteSize::bytes(3000))
+            .into_iter()
             .map(|s| s.as_u64())
             .sum();
         assert_eq!(total, 10_000);
         assert_eq!(
-            shard_sizes(ByteSize::bytes(100), ByteSize::bytes(3000)).count(),
+            Shards::new(ByteSize::bytes(100), ByteSize::bytes(3000)).len(),
             1
         );
     }
