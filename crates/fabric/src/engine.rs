@@ -828,6 +828,17 @@ impl TransferEngine {
         self.schedules[link.index()].busy_until()
     }
 
+    /// Every directed link's backlog at `at`, in link order: how long past
+    /// `at` the link stays busy with work already reserved, zero when it is
+    /// idle by then. A fresh engine reads all zeros. Work arriving at or
+    /// after `at` is scheduled from these values alone, since a link's FIFO
+    /// reads only when it next becomes free.
+    pub fn link_backlogs(&self, at: SimTime) -> impl ExactSizeIterator<Item = SimDuration> + '_ {
+        self.schedules
+            .iter()
+            .map(move |s| s.busy_until().saturating_duration_since(at))
+    }
+
     /// Busy time accumulated on the given directed link.
     pub fn link_busy_time(&self, link: LinkId) -> SimDuration {
         self.schedules[link.index()].busy_time()

@@ -196,6 +196,45 @@ fn engine_timing_exact() {
     assert_eq!(rec.end, SimTime::from_nanos(100 + 1000 + 12));
 }
 
+/// The backlog view: a fresh engine reads every link idle, and after
+/// random traffic each link's backlog at a cut is its `busy_until` past the
+/// cut, clamped at zero.
+#[test]
+fn link_backlogs_read_busy_until_past_the_cut() {
+    let fabrics = [
+        machines::aws_t4(),
+        machines::aws_v100(),
+        machines::aws_v100_cluster(2),
+    ];
+    run_cases(
+        "link_backlogs_read_busy_until_past_the_cut",
+        48,
+        |g: &mut Gen| {
+            let topo = g.choose(&fabrics).topology().clone();
+            let gpus: Vec<_> = topo
+                .devices()
+                .filter(|d| d.kind() == DeviceKind::Gpu)
+                .map(|d| d.id())
+                .collect();
+            let mut e = TransferEngine::new(topo.clone());
+            let cut = SimTime::from_nanos(g.u64_in(0..4_000_000));
+            assert_eq!(e.link_backlogs(cut).len(), topo.link_count());
+            assert!(e.link_backlogs(cut).all(|b| b.is_zero()));
+            for _ in 0..g.usize_in(1..8) {
+                let size = ByteSize::bytes(g.u64_in(1..8 << 20));
+                let at = SimTime::from_nanos(g.u64_in(0..4_000_000));
+                e.transfer(*g.choose(&gpus), *g.choose(&gpus), size, at)
+                    .unwrap();
+            }
+            let cut = SimTime::from_nanos(g.u64_in(0..8_000_000));
+            for (link, backlog) in topo.links().zip(e.link_backlogs(cut)) {
+                let until = e.link_busy_until(link.id());
+                assert_eq!(backlog, until.saturating_duration_since(cut));
+            }
+        },
+    );
+}
+
 /// A sharded transfer equals chaining `transfer_masked` over the same
 /// shards — on the staged T4, the V100 (NVLink and PCIe) and the 2-node
 /// cluster — from random link pre-load, payloads of 0–64 full shards with
@@ -281,6 +320,15 @@ fn sharded_transfer_matches_chained_shards() {
                 let l = link.id();
                 assert_eq!(sharded.link_busy_until(l), chained.link_busy_until(l));
                 assert_eq!(sharded.link_busy_time(l), chained.link_busy_time(l));
+            }
+            // The backlog the steady-state certificate reads agrees at every
+            // cut from the train's arrival to past its last delivery.
+            if let Ok(rec) = want {
+                let span = (rec.end - arrival).as_nanos() + 1_000;
+                for _ in 0..4 {
+                    let cut = arrival + SimDuration::from_nanos(g.u64_in(0..span));
+                    assert!(sharded.link_backlogs(cut).eq(chained.link_backlogs(cut)));
+                }
             }
             random_transfer(g, &mut sharded, &mut chained);
             assert_eq!(sharded_m.snapshot(), chained_m.snapshot());

@@ -137,4 +137,37 @@ mod tests {
         );
         assert!(Baseline::parse("{\"schema\": \"coarse.lint-report/v1\"}").is_err());
     }
+
+    /// Seeded adversarial baselines: truncations and bit flips of a valid
+    /// report parse to a baseline or a non-empty error message, never a
+    /// panic.
+    #[test]
+    fn parse_survives_truncation_and_bit_flips() {
+        use coarse_simcore::check::run_cases;
+        let report = report_for(
+            "fn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n\
+             fn g() { let s: HashSet<u8> = HashSet::new(); }\n",
+        );
+        let rendered = report.render_json().into_bytes();
+        let mut parsed = 0;
+        run_cases("baseline_truncation_and_bit_flips", 256, |g| {
+            let mut doc = rendered.clone();
+            if g.bool() {
+                doc.truncate(g.usize_in(0..doc.len() + 1));
+            } else {
+                for _ in 0..g.usize_in(1..3) {
+                    let bit = g.usize_in(0..doc.len() * 8);
+                    doc[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            match Baseline::parse(&String::from_utf8_lossy(&doc)) {
+                Ok(baseline) => {
+                    parsed += 1;
+                    let _ = baseline.new_findings(&report);
+                }
+                Err(e) => assert!(!e.is_empty()),
+            }
+        });
+        assert!(parsed > 0, "some mutants still parse");
+    }
 }

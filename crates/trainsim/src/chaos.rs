@@ -742,6 +742,37 @@ mod tests {
         }
     }
 
+    /// Seeded adversarial repros: truncations and bit flips of a valid
+    /// document parse to a repro or a typed `BadRepro`, and replaying one
+    /// that parses returns a report or a typed error; neither panics.
+    #[test]
+    fn parse_and_replay_survive_truncation_and_bit_flips() {
+        use coarse_simcore::check::run_cases;
+        // Compact, so fewer flips land in whitespace.
+        let rendered = sample_repro().to_json().render().into_bytes();
+        let mut replayed = 0;
+        run_cases("repro_truncation_and_bit_flips", 192, |g| {
+            let mut doc = rendered.clone();
+            if g.bool() {
+                doc.truncate(g.usize_in(0..doc.len() + 1));
+            } else {
+                for _ in 0..g.usize_in(1..3) {
+                    let bit = g.usize_in(0..doc.len() * 8);
+                    doc[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            let doc = String::from_utf8_lossy(&doc);
+            match ChaosRepro::parse(&doc) {
+                Ok(_) => {
+                    replayed += 1;
+                    let _report_or_typed_error = replay(&doc);
+                }
+                Err(e) => assert!(matches!(e, TrainError::BadRepro { .. }), "got {e:?}"),
+            }
+        });
+        assert!(replayed > 0, "some mutants parse and replay");
+    }
+
     #[test]
     fn parse_rejects_empty_windows_instead_of_panicking() {
         // from == until would trip FaultPlan's assert; the parser must turn

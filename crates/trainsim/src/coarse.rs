@@ -130,6 +130,62 @@ struct TrainTracks {
     proxies: BTreeMap<DeviceId, TrackId>,
 }
 
+/// Exact periodic-steady-state certificate for the clean iteration loop.
+///
+/// Every reservation of iteration `k` arrives at or after its boundary
+/// `B_k`, each iteration offers its reservations in the same program order,
+/// and a link's FIFO reads only when it next becomes free. So the loop's
+/// whole carried state at `B_k` is each link's backlog past `B_k`. When the
+/// backlog at `B_{k+1}` equals the one at `B_k`, every later iteration is
+/// iteration `k` shifted by `P = B_{k+1} − B_k`, in integer nanoseconds.
+struct SteadyState {
+    /// The links still busy at `boundary`, as `(link index, backlog)` in
+    /// link order; every other link is idle. Most boundaries leave every
+    /// link idle, so this stays small and usually never allocates.
+    backlog: Vec<(usize, SimDuration)>,
+    boundary: SimTime,
+}
+
+impl SteadyState {
+    /// The state before the first iteration of a fresh engine: every link
+    /// idle at [`SimTime::ZERO`].
+    fn new() -> Self {
+        SteadyState {
+            backlog: Vec::new(),
+            boundary: SimTime::ZERO,
+        }
+    }
+
+    /// Records the backlog at the next iteration boundary, with
+    /// `remaining` iterations still to run. When it repeats the backlog at
+    /// the previous boundary, returns the boundary after the last
+    /// iteration: `boundary + remaining × period`.
+    fn certified_end(
+        &mut self,
+        engine: &TransferEngine,
+        boundary: SimTime,
+        remaining: u32,
+    ) -> Option<SimTime> {
+        if remaining == 0 {
+            return None;
+        }
+        let busy = || {
+            engine
+                .link_backlogs(boundary)
+                .enumerate()
+                .filter(|(_, backlog)| !backlog.is_zero())
+        };
+        let repeats = busy().eq(self.backlog.iter().copied());
+        if !repeats {
+            self.backlog.clear();
+            self.backlog.extend(busy());
+        }
+        let period = boundary - self.boundary;
+        self.boundary = boundary;
+        repeats.then(|| boundary + period * u64::from(remaining))
+    }
+}
+
 impl Deployment<'_> {
     /// Splits the model at proxy budget `m`: the first `m` emitted bytes
     /// take the proxy path (`true` per tensor index), the rest the GPU
@@ -154,19 +210,29 @@ impl Deployment<'_> {
     }
 
     /// Runs `iterations` and returns the steady-state period for a given
-    /// proxy-path byte budget `m`.
+    /// proxy-path byte budget `m`. A run nothing observes stops at the first
+    /// certified steady state (see [`SteadyState`]).
     fn run(&self, proxy_budget: ByteSize, iterations: u32) -> SimDuration {
-        self.run_inner(proxy_budget, iterations, false).0
+        let unobserved = self.tracer.is_none()
+            && self.metrics.is_none()
+            && self.profiler.is_none()
+            && self.critpath.is_none();
+        self.run_inner(proxy_budget, iterations, false, unobserved)
+            .0
     }
 
     /// Full-detail run: also returns the engine (for link utilization) and
     /// records the phase spans of the **last** iteration for timeline
-    /// rendering.
+    /// rendering. With `certify`, the loop stops at the first iteration
+    /// boundary whose link backlog repeats and extrapolates the rest, so the
+    /// engine then holds only the simulated prefix; callers that read it,
+    /// or observe the run, pass `false`.
     fn run_inner(
         &self,
         proxy_budget: ByteSize,
         iterations: u32,
         trace_last: bool,
+        certify: bool,
     ) -> (SimDuration, TransferEngine, Vec<crate::timeline::PhaseSpan>) {
         let plan = &self.plan;
         let model = self.model;
@@ -205,6 +271,8 @@ impl Deployment<'_> {
         let mut start = SimTime::ZERO;
         let mut first_period_end = SimTime::ZERO;
         let mut spans: Vec<crate::timeline::PhaseSpan> = Vec::new();
+        let mut steady = certify.then(SteadyState::new);
+        let mut certified = false;
         for k in 0..iterations {
             use crate::timeline::{PhaseKind, PhaseSpan};
             let tracing = trace_last && k + 1 == iterations;
@@ -669,12 +737,22 @@ impl Deployment<'_> {
                 first_period_end = next_start;
             }
             start = next_start;
+            let remaining = iterations - k - 1;
+            if let Some(end) = steady
+                .as_mut()
+                .and_then(|s| s.certified_end(&engine, start, remaining))
+            {
+                start = end;
+                certified = true;
+                break;
+            }
         }
-        (
-            (start - first_period_end) / (iterations as u64 - 1).max(1),
-            engine,
-            spans,
-        )
+        let period = (start - first_period_end) / (iterations as u64 - 1).max(1);
+        if cfg!(debug_assertions) && certified {
+            let full = self.run_inner(proxy_budget, iterations, false, false).0;
+            assert_eq!(period, full, "certified steady state matches the full loop");
+        }
+        (period, engine, spans)
     }
 
     /// Fault-injected run: like [`run_inner`](Self::run_inner) but every
@@ -2511,7 +2589,9 @@ impl Prepared<'_> {
     /// descending order.
     fn with_hotspots(&self, iterations: u32, top_n: usize) -> (TrainResult, Vec<(String, f64)>) {
         assert_steady_state(iterations);
-        let (period, engine, _) = self.deployment.run_inner(self.best_m, iterations, false);
+        let (period, engine, _) = self
+            .deployment
+            .run_inner(self.best_m, iterations, false, false);
         let horizon = SimTime::ZERO + period * u64::from(iterations);
         let topo = engine.topology();
         let links = engine
@@ -3142,7 +3222,9 @@ pub fn trace_coarse(
     batch_per_gpu: u32,
 ) -> crate::timeline::IterationTrace {
     let prepared = prepare(machine, partition, model, batch_per_gpu);
-    let (period, _, spans) = prepared.deployment.run_inner(prepared.best_m, 3, true);
+    let (period, _, spans) = prepared
+        .deployment
+        .run_inner(prepared.best_m, 3, true, false);
     crate::timeline::IterationTrace::new(spans, period)
 }
 
@@ -3708,6 +3790,140 @@ mod tests {
             simulate_coarse_recovering_observed(&m, &p, &model, 2, 3, &plan, &policy, &hub, None);
         assert_eq!(bare, observed, "observation must not perturb the run");
         assert!(hub.violations().is_empty(), "{:?}", hub.violations());
+    }
+
+    /// A toy loop whose first iteration leaves a link busy past its
+    /// boundary, which lengthens every later iteration: a certificate that
+    /// trusted iteration 0 would report its shorter length as the period.
+    #[test]
+    fn steady_state_waits_for_the_carried_backlog_to_repeat() {
+        let m = aws_v100();
+        let p = m.partition(PartitionScheme::OneToOne);
+        let (src, dst) = (p.workers[0], p.mem_devices[0]);
+        let size = ByteSize::mib(64);
+        let send = |engine: &mut TransferEngine, at: SimTime| {
+            engine
+                .transfer_masked(src, dst, size, at, PCIE_ONLY)
+                .unwrap()
+                .end
+        };
+        let mut probe = TransferEngine::new(m.topology().clone());
+        let end = send(&mut probe, SimTime::ZERO);
+        let occupancy = probe.link_backlogs(SimTime::ZERO).max().unwrap();
+        let latency = end - (SimTime::ZERO + occupancy);
+        // Each iteration computes for `occupancy / 2` and waits for its
+        // transfer's delivery less `latency + occupancy / 4`. Iteration 0
+        // ends at 3/4 of the occupancy with a quarter of it still queued;
+        // from then on each iteration queues behind the last one's transfer.
+        let loop_period = |iterations: u32, certify: bool| {
+            let mut engine = TransferEngine::new(m.topology().clone());
+            let mut steady = certify.then(SteadyState::new);
+            let (mut start, mut first_end) = (SimTime::ZERO, SimTime::ZERO);
+            let mut lengths = Vec::new();
+            for k in 0..iterations {
+                let delivered = send(&mut engine, start);
+                let next = (start + occupancy / 2).max(delivered - (latency + occupancy / 4));
+                lengths.push(next - start);
+                if k == 0 {
+                    first_end = next;
+                }
+                start = next;
+                let remaining = iterations - k - 1;
+                if let Some(end) = steady
+                    .as_mut()
+                    .and_then(|s| s.certified_end(&engine, start, remaining))
+                {
+                    start = end;
+                    break;
+                }
+            }
+            ((start - first_end) / u64::from(iterations - 1), lengths)
+        };
+        let (full, lengths) = loop_period(7, false);
+        assert!(lengths[0] < full, "iteration 0 is shorter: {lengths:?}");
+        assert!(lengths[1..].iter().all(|&l| l == full), "{lengths:?}");
+        for iterations in [2, 3, 7, 61] {
+            let (certified, simulated) = loop_period(iterations, true);
+            assert_eq!(certified, loop_period(iterations, false).0);
+            assert!(simulated.len() <= 2, "certified by B_2: {simulated:?}");
+        }
+    }
+
+    /// The certified clean loop equals the full loop bit for bit, over the
+    /// five presets plus the 2-node V100 cluster × default and half batch ×
+    /// a ±10% uplink jitter × 2–120 iterations, with and without the input
+    /// pipeline, at the chosen split and at a pilot-grid split. Release
+    /// builds walk the whole grid; debug builds re-run the full loop behind
+    /// every certified shortcut anyway, so they draw a seeded sample of it.
+    #[test]
+    fn certified_steady_state_matches_the_full_loop() {
+        use coarse_fabric::machines::MachineBuilder;
+        use coarse_models::dataset::Dataset;
+        use coarse_models::zoo::bert_base;
+        use coarse_simcore::check::run_cases;
+        use PartitionScheme::{OneToOne, TwoToOne};
+
+        type Model = (fn() -> ModelProfile, fn() -> Dataset);
+        // (machine preset, its uplink GiB/s, nodes, model, partition, batch)
+        type Shape = (&'static str, f64, u32, Model, PartitionScheme, u32);
+        let resnet: Model = (resnet50, Dataset::imagenet);
+        let base: Model = (bert_base, Dataset::squad11);
+        let large: Model = (bert_large, Dataset::squad11);
+        let shapes: [Shape; 6] = [
+            ("aws_t4", 12.0, 1, resnet, OneToOne, 64),
+            ("aws_t4", 12.0, 1, base, OneToOne, 2),
+            ("sdsc_p100", 10.0, 1, large, OneToOne, 2),
+            ("aws_v100", 9.0, 1, large, OneToOne, 2),
+            ("aws_v100", 9.0, 1, large, TwoToOne, 2),
+            ("aws_v100", 9.0, 2, large, OneToOne, 2),
+        ];
+        let iteration_counts = [2, 3, 7, 61, 120];
+        let grid = shapes.len() * 2 * iteration_counts.len() * 2;
+        let cases = if cfg!(debug_assertions) { 12 } else { grid };
+        let mut case = 0;
+        run_cases(
+            "certified_steady_state_matches_the_full_loop",
+            cases as u64,
+            |g| {
+                let point = if cases == grid {
+                    case
+                } else {
+                    g.usize_in(0..grid)
+                };
+                case += 1;
+                let (preset, uplink, nodes, (model, dataset), scheme, batch) =
+                    shapes[point % shapes.len()];
+                let rest = point / shapes.len();
+                let half = rest % 2 == 1;
+                let iterations = iteration_counts[(rest / 2) % iteration_counts.len()];
+                let input = rest / 2 / iteration_counts.len() == 1;
+
+                let builder =
+                    MachineBuilder::preset(preset).uplink_gib(uplink * g.f64_in(0.9, 1.1));
+                let machine = if nodes > 1 {
+                    builder.cluster(nodes).build()
+                } else {
+                    builder.build()
+                };
+                let model = model();
+                let batch = if half { batch / 2 } else { batch };
+                let partition = machine.partition(scheme);
+                let mut prepared = prepare(&machine, &partition, &model, batch);
+                if input {
+                    prepared.deployment.input_bytes =
+                        ByteSize::bytes(dataset().sample_bytes().as_u64() * u64::from(batch));
+                }
+                let pilot = ByteSize::bytes(model.total_bytes().as_u64() * g.u64_in(0..9) / 8);
+                for m in [prepared.best_m, pilot] {
+                    let certified = prepared.deployment.run_inner(m, iterations, false, true).0;
+                    let full = prepared.deployment.run_inner(m, iterations, false, false).0;
+                    assert_eq!(
+                        certified, full,
+                        "{preset} ×{nodes} batch {batch} m={m} {iterations} iterations input={input}"
+                    );
+                }
+            },
+        );
     }
 
     #[test]
