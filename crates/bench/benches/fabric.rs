@@ -7,7 +7,7 @@ use coarse_bench::harness::{black_box, Bench};
 use coarse_fabric::engine::TransferEngine;
 use coarse_fabric::machines::{aws_v100, sdsc_p100};
 use coarse_fabric::probe;
-use coarse_fabric::topology::LinkClass;
+use coarse_fabric::topology::{LinkClass, LinkMask};
 use coarse_simcore::prelude::*;
 
 fn bench_routing() {
@@ -48,7 +48,7 @@ fn bench_probe_matrix() {
             &topo,
             &gpus,
             ByteSize::mib(16),
-            |l| l.class() == LinkClass::Pcie,
+            LinkMask::only(LinkClass::Pcie),
         ))
     });
 }

@@ -271,15 +271,51 @@ fn banded(current: f64, baseline: f64, tolerance: f64) -> bool {
     ratio <= 1.0 + tolerance && ratio >= 1.0 / (1.0 + tolerance)
 }
 
+/// The members a `BENCH_<label>.json` document may carry.
+const REPORT_MEMBERS: [&str; 4] = ["schema", "label", "benches", "profile"];
+
+/// Why `doc` is not a bench report the comparison can read in full, if it
+/// is not: a member it does not know, or a bench row it cannot name,
+/// would otherwise drop out of the comparison unnoticed.
+fn malformed(doc: &JsonValue) -> Option<String> {
+    let JsonValue::Object(members) = doc else {
+        return Some("not a JSON object".to_string());
+    };
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(key, _)| !REPORT_MEMBERS.contains(&key.as_str()))
+    {
+        return Some(format!("unknown member {key:?}"));
+    }
+    match doc.get("benches") {
+        None => None,
+        Some(JsonValue::Array(rows)) => rows
+            .iter()
+            .position(|row| row.get("name").and_then(JsonValue::as_str).is_none())
+            .map(|i| format!("bench row {i} has no name")),
+        Some(_) => Some("'benches' is not an array".to_string()),
+    }
+}
+
 /// Diffs `current` against `baseline`: deterministic fields must match
 /// exactly (errors); normalized wall-clock timings may drift within
-/// `tolerance` (fractional, e.g. [`WALL_TOLERANCE`]) before a warning.
+/// `tolerance` (fractional, e.g. [`WALL_TOLERANCE`]) before a warning. A
+/// document that is not a readable bench report fails the comparison.
 pub fn compare_reports(
     current: &JsonValue,
     baseline: &JsonValue,
     tolerance: f64,
 ) -> BenchComparison {
     let mut cmp = BenchComparison::default();
+    for (side, doc) in [("current", current), ("baseline", baseline)] {
+        if let Some(problem) = malformed(doc) {
+            cmp.errors
+                .push(format!("{side} report is malformed: {problem}"));
+        }
+    }
+    if !cmp.passed() {
+        return cmp;
+    }
     let schema = |doc: &JsonValue| {
         doc.get("schema")
             .and_then(JsonValue::as_str)
@@ -457,6 +493,21 @@ mod tests {
         let cmp = compare_reports(&doc, &doc, WALL_TOLERANCE);
         assert!(cmp.passed(), "errors: {:?}", cmp.errors);
         assert!(cmp.warnings.is_empty(), "warnings: {:?}", cmp.warnings);
+    }
+
+    #[test]
+    fn unreadable_baseline_rows_and_members_fail_the_comparison() {
+        let doc = sample_doc(250, 1, 9, 1e6);
+        let rename = |from: &str, to: &str| {
+            JsonValue::parse(&doc.render().replacen(from, to, 1)).expect("still JSON")
+        };
+        for broken in [
+            rename("\"name\"", "\"nbme\""),
+            rename("\"benches\"", "\"bdnches\""),
+        ] {
+            let cmp = compare_reports(&doc, &broken, WALL_TOLERANCE);
+            assert!(!cmp.passed(), "{}", broken.render());
+        }
     }
 
     #[test]

@@ -728,7 +728,7 @@ mod tests {
             PCIE_ONLY,
         )
         .unwrap();
-        e.reset();
+        e.reset_idle();
         let large = ring_allreduce(
             &mut e,
             &gpus,

@@ -8,8 +8,7 @@
 //! (dynamic profiling).
 
 use coarse_fabric::device::DeviceId;
-use coarse_fabric::engine::TransferEngine;
-use coarse_fabric::probe;
+use coarse_fabric::probe::{self, Prober};
 use coarse_fabric::topology::{LinkClass, LinkMask, Topology};
 use coarse_simcore::time::{SimDuration, SimTime};
 use coarse_simcore::units::ByteSize;
@@ -38,35 +37,23 @@ pub fn profile_proxies(
     client: DeviceId,
     proxies: &[DeviceId],
 ) -> Vec<ProxyProfile> {
+    measure_proxies(&mut Prober::new(topo), client, proxies)
+}
+
+/// [`profile_proxies`] on `prober`'s session.
+fn measure_proxies(
+    prober: &mut Prober,
+    client: DeviceId,
+    proxies: &[DeviceId],
+) -> Vec<ProxyProfile> {
     proxies
         .iter()
         .map(|&p| ProxyProfile {
             proxy: p,
-            latency: probe::measure_latency(topo, client, p, PROFILER_LINKS),
-            bandwidth: probe::measure_unidirectional(
-                topo,
-                client,
-                p,
-                ByteSize::mib(64),
-                PROFILER_LINKS,
-            ),
+            latency: prober.latency(client, p, PROFILER_LINKS),
+            bandwidth: prober.unidirectional(client, p, ByteSize::mib(64), PROFILER_LINKS),
         })
         .collect()
-}
-
-/// End-to-end time of one transfer of `size` from `client` to `proxy` on an
-/// otherwise idle fabric.
-fn transfer_time(
-    topo: &Topology,
-    client: DeviceId,
-    proxy: DeviceId,
-    size: ByteSize,
-) -> SimDuration {
-    let mut eng = TransferEngine::new(topo.clone());
-    eng.transfer_masked(client, proxy, size, SimTime::ZERO, PROFILER_LINKS)
-        // simlint: allow(panic-in-library, reason = "profiling runs on the deployed machine topology, which connects client and proxy by construction")
-        .expect("client and proxy must be connected")
-        .elapsed()
 }
 
 /// Fraction of peak bandwidth that counts as "full" when choosing `S'`.
@@ -102,8 +89,38 @@ pub fn build_routing_table_for(
     ordinal: usize,
     now: SimTime,
 ) -> RoutingTable {
+    table_for(&mut Prober::new(topo), client, proxies, ordinal, now)
+}
+
+/// Every worker's routing table, measured on one probing session: worker
+/// `w` gets [`build_routing_table_for`]'s table with ordinal `w`.
+///
+/// # Panics
+///
+/// Panics if `proxies` is empty or a proxy is unreachable.
+pub fn build_routing_tables(
+    prober: &mut Prober,
+    workers: &[DeviceId],
+    proxies: &[DeviceId],
+    now: SimTime,
+) -> Vec<RoutingTable> {
+    workers
+        .iter()
+        .enumerate()
+        .map(|(w, &worker)| table_for(prober, worker, proxies, w, now))
+        .collect()
+}
+
+/// [`build_routing_table_for`] on `prober`'s session.
+fn table_for(
+    prober: &mut Prober,
+    client: DeviceId,
+    proxies: &[DeviceId],
+    ordinal: usize,
+    now: SimTime,
+) -> RoutingTable {
     assert!(!proxies.is_empty(), "need at least one proxy to profile");
-    let profiles = profile_proxies(topo, client, proxies);
+    let profiles = measure_proxies(prober, client, proxies);
 
     let best_latency = profiles
         .iter()
@@ -125,13 +142,7 @@ pub fn build_routing_table_for(
 
     // S': smallest probe size reaching FULL_BANDWIDTH_FRACTION of the
     // BwProxy's large-transfer bandwidth.
-    let sweep = probe::bandwidth_sweep(
-        topo,
-        client,
-        bw.proxy,
-        &probe::standard_sizes(),
-        PROFILER_LINKS,
-    );
+    let sweep = prober.sweep(client, bw.proxy, &probe::standard_sizes(), PROFILER_LINKS);
     let shard_size = sweep
         .iter()
         .find(|(_, rate)| *rate >= bw.bandwidth * FULL_BANDWIDTH_FRACTION)
@@ -147,7 +158,8 @@ pub fn build_routing_table_for(
     let threshold = probe::standard_sizes()
         .into_iter()
         .find(|&s| {
-            transfer_time(topo, client, bw.proxy, s) <= transfer_time(topo, client, lat.proxy, s)
+            prober.transfer_time(client, bw.proxy, s, PROFILER_LINKS)
+                <= prober.transfer_time(client, lat.proxy, s, PROFILER_LINKS)
         })
         .unwrap_or_else(|| ByteSize::mib(2));
 
@@ -242,15 +254,15 @@ mod tests {
         let part = m.partition(PartitionScheme::OneToOne);
         let client = part.workers[0];
         let table = build_routing_table(m.topology(), client, &part.mem_devices, SimTime::ZERO);
+        let mut prober = Prober::new(m.topology());
+        let mut transfer_time =
+            |proxy, size| prober.transfer_time(client, proxy, size, PROFILER_LINKS);
         // At the threshold, the remote path must indeed be no slower.
-        let t_bw = transfer_time(m.topology(), client, table.bw_proxy, table.threshold);
-        let t_lat = transfer_time(m.topology(), client, table.lat_proxy, table.threshold);
+        let t_bw = transfer_time(table.bw_proxy, table.threshold);
+        let t_lat = transfer_time(table.lat_proxy, table.threshold);
         assert!(t_bw <= t_lat);
         // Just below the smallest probe size, the local path wins.
         let tiny = ByteSize::kib(4);
-        assert!(
-            transfer_time(m.topology(), client, table.lat_proxy, tiny)
-                < transfer_time(m.topology(), client, table.bw_proxy, tiny)
-        );
+        assert!(transfer_time(table.lat_proxy, tiny) < transfer_time(table.bw_proxy, tiny));
     }
 }

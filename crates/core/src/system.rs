@@ -16,6 +16,7 @@ use coarse_cci::storage::Snapshot;
 use coarse_cci::synccore::{RingDirection, SyncGroup};
 use coarse_cci::tensor::{Tensor, TensorId};
 use coarse_fabric::device::DeviceId;
+use coarse_fabric::probe::Prober;
 use coarse_fabric::topology::Topology;
 use coarse_simcore::faults::FaultPlan;
 use coarse_simcore::oracle::{BiteKind, OracleEvent, OracleHub};
@@ -23,7 +24,7 @@ use coarse_simcore::time::SimTime;
 
 use crate::client::ParameterClient;
 use crate::optim::Optimizer;
-use crate::profiler::build_routing_table_for;
+use crate::profiler::build_routing_tables;
 use crate::proxy::ParameterProxy;
 use crate::resilience::{ResiliencePolicy, SyncFaultReport};
 
@@ -126,15 +127,12 @@ impl CoarseSystem {
         if mem_devices.is_empty() {
             return Err(SystemError::NoMemDevices);
         }
+        let tables =
+            build_routing_tables(&mut Prober::new(topo), workers, mem_devices, SimTime::ZERO);
         let clients = workers
             .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                ParameterClient::new(
-                    w,
-                    build_routing_table_for(topo, w, mem_devices, i, SimTime::ZERO),
-                )
-            })
+            .zip(tables)
+            .map(|(&w, table)| ParameterClient::new(w, table))
             .collect();
         let proxies: Vec<ParameterProxy> = mem_devices
             .iter()
@@ -215,9 +213,10 @@ impl CoarseSystem {
             pairs.sort_unstable();
             pairs.into_iter().map(|(_, d)| d).collect()
         };
+        let workers: Vec<DeviceId> = self.clients.iter().map(|c| c.worker()).collect();
+        let tables = build_routing_tables(&mut Prober::new(topo), &workers, &mem_devices, now);
         let mut changed = 0;
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            let fresh = build_routing_table_for(topo, client.worker(), &mem_devices, i, now);
+        for (client, fresh) in self.clients.iter_mut().zip(tables) {
             let old = *client.table();
             if fresh.lat_proxy != old.lat_proxy
                 || fresh.bw_proxy != old.bw_proxy

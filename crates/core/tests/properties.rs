@@ -116,3 +116,140 @@ fn system_synchronize_is_mean() {
         }
     });
 }
+
+/// A client's routing table as the profiler measures it, worker by worker,
+/// with every probe on a fresh engine: the reference for probing sessions.
+fn reference_table(
+    topo: &coarse_fabric::topology::Topology,
+    client: DeviceId,
+    proxies: &[DeviceId],
+    ordinal: usize,
+) -> RoutingTable {
+    use coarse_core::profiler::{FULL_BANDWIDTH_FRACTION, PROFILER_LINKS};
+    use coarse_fabric::engine::TransferEngine;
+    use coarse_fabric::probe;
+
+    let profiles: Vec<_> = proxies
+        .iter()
+        .map(|&p| {
+            let latency = probe::measure_latency(topo, client, p, PROFILER_LINKS);
+            let bw =
+                probe::measure_unidirectional(topo, client, p, ByteSize::mib(64), PROFILER_LINKS);
+            (p, latency, bw)
+        })
+        .collect();
+    let best_latency = profiles.iter().map(|p| p.1).min().unwrap();
+    let lat_ties: Vec<_> = profiles
+        .iter()
+        .filter(|p| p.1 <= best_latency.mul_f64(1.02))
+        .collect();
+    let lat = lat_ties[ordinal % lat_ties.len()];
+    let best_bw = profiles.iter().map(|p| p.2).fold(0.0f64, f64::max);
+    let bw_ties: Vec<_> = profiles.iter().filter(|p| p.2 >= best_bw * 0.98).collect();
+    let bw = bw_ties[ordinal % bw_ties.len()];
+    let shard_size =
+        probe::bandwidth_sweep(topo, client, bw.0, &probe::standard_sizes(), PROFILER_LINKS)
+            .into_iter()
+            .find(|&(_, rate)| rate >= bw.2 * FULL_BANDWIDTH_FRACTION)
+            .map_or(ByteSize::mib(2), |(s, _)| s);
+    if lat.0 == bw.0 {
+        return RoutingTable::single(lat.0, shard_size, SimTime::ZERO);
+    }
+    let transfer_time = |proxy, size| {
+        TransferEngine::new(topo.clone())
+            .transfer_masked(client, proxy, size, SimTime::ZERO, PROFILER_LINKS)
+            .unwrap()
+            .elapsed()
+    };
+    let threshold = probe::standard_sizes()
+        .into_iter()
+        .find(|&s| transfer_time(bw.0, s) <= transfer_time(lat.0, s))
+        .unwrap_or(ByteSize::mib(2));
+    RoutingTable {
+        lat_proxy: lat.0,
+        bw_proxy: bw.0,
+        threshold,
+        shard_size,
+        built_at: SimTime::ZERO,
+    }
+}
+
+/// `build_routing_tables` on one probing session equals the per-worker
+/// reference, every probe on a fresh engine, on the fabrics COARSE deploys:
+/// the three Table I machines and the 2-node V100 cluster, with the CCI
+/// ring between each node's memory devices where the machine has GPU
+/// peer-to-peer, × one-to-one and two-to-one partitions × ±10% jittered
+/// switch uplinks. The survivors of one random eviction are profiled again
+/// on the same session. `build_routing_table_for` agrees too.
+#[test]
+fn routing_tables_match_per_worker_fresh_engine_tables() {
+    use coarse_core::profiler::{build_routing_table_for, build_routing_tables};
+    use coarse_fabric::machines::MachineBuilder;
+    use coarse_fabric::probe::Prober;
+
+    // (preset, its uplink GiB/s, nodes)
+    let shapes = [
+        ("aws_t4", 12.0, 1),
+        ("sdsc_p100", 10.0, 1),
+        ("aws_v100", 9.0, 1),
+        ("aws_v100", 9.0, 2),
+    ];
+    let schemes = [PartitionScheme::OneToOne, PartitionScheme::TwoToOne];
+    run_cases(
+        "routing_tables_match_per_worker_fresh_engine_tables",
+        24,
+        |g: &mut Gen| {
+            let &(preset, uplink, nodes) = g.choose(&shapes);
+            let builder = MachineBuilder::preset(preset).uplink_gib(uplink * g.f64_in(0.9, 1.1));
+            let mut machine = if nodes > 1 {
+                builder.cluster(nodes).build()
+            } else {
+                builder.build()
+            };
+            let part = machine.partition(*g.choose(&schemes));
+            if machine.topology().p2p_enabled() {
+                for n in 0..nodes {
+                    let on_node: Vec<DeviceId> = part
+                        .mem_devices
+                        .iter()
+                        .copied()
+                        .filter(|&d| machine.topology().device(d).node() == n)
+                        .collect();
+                    if on_node.len() >= 2 {
+                        machine.augment_cci_ring(&on_node);
+                    }
+                }
+            }
+            let topo = machine.topology();
+            let reference = |proxies: &[DeviceId]| -> Vec<RoutingTable> {
+                part.workers
+                    .iter()
+                    .enumerate()
+                    .map(|(w, &worker)| reference_table(topo, worker, proxies, w))
+                    .collect()
+            };
+
+            let mut prober = Prober::new(topo);
+            let mut proxies = part.mem_devices.clone();
+            let tables = build_routing_tables(&mut prober, &part.workers, &proxies, SimTime::ZERO);
+            assert_eq!(tables, reference(&proxies), "{} {preset}", machine.name());
+            let w = g.usize_in(0..part.workers.len());
+            assert_eq!(
+                build_routing_table_for(topo, part.workers[w], &proxies, w, SimTime::ZERO),
+                tables[w]
+            );
+
+            if proxies.len() > 2 {
+                proxies.remove(g.usize_in(0..proxies.len()));
+                let survivors =
+                    build_routing_tables(&mut prober, &part.workers, &proxies, SimTime::ZERO);
+                assert_eq!(
+                    survivors,
+                    reference(&proxies),
+                    "{} survivors",
+                    machine.name()
+                );
+            }
+        },
+    );
+}

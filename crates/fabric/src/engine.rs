@@ -336,11 +336,47 @@ impl TransferEngine {
         id
     }
 
-    /// Clears all link schedules (fresh experiment, same fabric).
-    pub fn reset(&mut self) {
-        for s in &mut self.schedules {
-            *s = ResourceTimeline::new();
-        }
+    /// Returns the engine to a fresh engine's idle state on the same
+    /// fabric: every link timeline and the critical-path scratch state
+    /// restart, while the route memo, a pure function of the immutable
+    /// topology, stays warm. Every later transfer then times exactly as it
+    /// would on `TransferEngine::new(topology.clone())`, so one engine can
+    /// serve a sequence of independent measurements.
+    ///
+    /// Only a bare engine resets: observers and fault plans cannot be
+    /// detached, and what they recorded would outlive the reset.
+    pub fn reset_idle(&mut self) {
+        // Destructured so that a new field fails to compile here until its
+        // reset is decided.
+        let TransferEngine {
+            topo: _,
+            schedules,
+            tracer,
+            metrics,
+            profiler,
+            faults,
+            oracles,
+            critpath,
+            last_crit,
+            last_crit_entry,
+            staged_crit_deps,
+            // Interned only under a tracer, so still all `None` here.
+            link_tracks: _,
+            route_cache: _,
+        } = self;
+        debug_assert!(
+            tracer.is_none()
+                && metrics.is_none()
+                && profiler.is_none()
+                && faults.is_none()
+                && oracles.is_none()
+                && critpath.is_none(),
+            "only an unobserved, fault-free engine resets to idle"
+        );
+        schedules.fill(ResourceTimeline::new());
+        *last_crit = None;
+        *last_crit_entry = None;
+        staged_crit_deps.clear();
     }
 
     /// Schedules a transfer of `size` bytes from `src` to `dst`, arriving at
@@ -1242,7 +1278,7 @@ mod tests {
         let mut e = TransferEngine::new(t);
         e.transfer(g0, g1, ByteSize::bytes(1000), SimTime::ZERO)
             .unwrap();
-        e.reset();
+        e.reset_idle();
         let r = e
             .transfer(g0, g1, ByteSize::bytes(1000), SimTime::ZERO)
             .unwrap();

@@ -1,9 +1,11 @@
 //! Communication micro-benchmarks ("the profiler's measurement kernels").
 //!
 //! COARSE builds its routing tables from measured point-to-point latency and
-//! bandwidth (§III-E). These probes run transfers on a scratch
+//! bandwidth (§III-E). These probes run transfers on an idle
 //! [`TransferEngine`] and report achieved figures; they also regenerate the
-//! paper's Fig. 8 bandwidth matrices and the Fig. 13/14/15 size sweeps.
+//! paper's Fig. 8 bandwidth matrices and the Fig. 13/14/15 size sweeps. A
+//! [`Prober`] runs a sequence of probes on one engine; each free function
+//! is one probe on a fresh one.
 
 use coarse_simcore::time::{SimDuration, SimTime};
 use coarse_simcore::units::ByteSize;
@@ -39,6 +41,139 @@ impl ProbeResult {
     }
 }
 
+/// A measurement session on one fabric: one engine, returned to idle
+/// before every measurement, so each result equals the same probe on a
+/// fresh [`TransferEngine`] while the routes it looks up stay memoized
+/// across the session.
+#[derive(Debug)]
+pub struct Prober {
+    engine: TransferEngine,
+}
+
+impl Prober {
+    /// A session on `topo`.
+    pub fn new(topo: &Topology) -> Self {
+        Prober {
+            engine: TransferEngine::new(topo.clone()),
+        }
+    }
+
+    /// An idle engine for the next measurement.
+    fn idle(&mut self) -> &mut TransferEngine {
+        self.engine.reset_idle();
+        &mut self.engine
+    }
+
+    /// Achieved one-direction bandwidth `a → b` at `size`, in bytes/sec,
+    /// over link classes in `mask`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no allowed route exists between the endpoints.
+    pub fn unidirectional(
+        &mut self,
+        a: DeviceId,
+        b: DeviceId,
+        size: ByteSize,
+        mask: LinkMask,
+    ) -> f64 {
+        let eng = self.idle();
+        let mut first_start = None;
+        let mut last_end = SimTime::ZERO;
+        for _ in 0..PROBE_REPEATS {
+            let rec = eng
+                .transfer_masked(a, b, size, last_end, mask)
+                // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
+                .expect("probe endpoints must be connected");
+            first_start.get_or_insert(rec.start);
+            last_end = rec.end;
+        }
+        // simlint: allow(panic-in-library, reason = "the probe scheduled at least one transfer in the loop above")
+        let elapsed = last_end - first_start.expect("at least one transfer ran");
+        (size.as_f64() * PROBE_REPEATS as f64) / elapsed.as_secs_f64()
+    }
+
+    /// Achieved aggregate bandwidth with both directions saturated (`a → b`
+    /// and `b → a` concurrently), in bytes/sec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no allowed route exists between the endpoints.
+    pub fn bidirectional(
+        &mut self,
+        a: DeviceId,
+        b: DeviceId,
+        size: ByteSize,
+        mask: LinkMask,
+    ) -> f64 {
+        let eng = self.idle();
+        let mut fwd_end = SimTime::ZERO;
+        let mut rev_end = SimTime::ZERO;
+        for _ in 0..PROBE_REPEATS {
+            fwd_end = eng
+                .transfer_masked(a, b, size, fwd_end, mask)
+                // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
+                .expect("probe endpoints must be connected")
+                .end;
+            rev_end = eng
+                .transfer_masked(b, a, size, rev_end, mask)
+                // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
+                .expect("probe endpoints must be connected")
+                .end;
+        }
+        let makespan = fwd_end.max(rev_end);
+        (size.as_f64() * 2.0 * PROBE_REPEATS as f64) / makespan.as_secs_f64()
+    }
+
+    /// End-to-end time of one transfer of `size` from `a` to `b` on the
+    /// idle fabric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no allowed route exists between the endpoints.
+    pub fn transfer_time(
+        &mut self,
+        a: DeviceId,
+        b: DeviceId,
+        size: ByteSize,
+        mask: LinkMask,
+    ) -> SimDuration {
+        self.idle()
+            .transfer_masked(a, b, size, SimTime::ZERO, mask)
+            // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
+            .expect("probe endpoints must be connected")
+            .elapsed()
+    }
+
+    /// Delivery latency of a minimal (4 KiB) transfer `a → b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no allowed route exists between the endpoints.
+    pub fn latency(&mut self, a: DeviceId, b: DeviceId, mask: LinkMask) -> SimDuration {
+        self.transfer_time(a, b, ByteSize::kib(4), mask)
+    }
+
+    /// Unidirectional bandwidth `a → b` at each of `sizes`, as
+    /// `(size, bytes_per_sec)` pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no allowed route exists between the endpoints.
+    pub fn sweep(
+        &mut self,
+        a: DeviceId,
+        b: DeviceId,
+        sizes: &[ByteSize],
+        mask: LinkMask,
+    ) -> Vec<(ByteSize, f64)> {
+        sizes
+            .iter()
+            .map(|&s| (s, self.unidirectional(a, b, s, mask)))
+            .collect()
+    }
+}
+
 /// Measures achieved one-direction bandwidth `a → b` at `size`, in
 /// bytes/sec, over link classes in `mask`.
 ///
@@ -52,20 +187,7 @@ pub fn measure_unidirectional(
     size: ByteSize,
     mask: LinkMask,
 ) -> f64 {
-    let mut eng = TransferEngine::new(topo.clone());
-    let mut first_start = None;
-    let mut last_end = SimTime::ZERO;
-    for _ in 0..PROBE_REPEATS {
-        let rec = eng
-            .transfer_masked(a, b, size, last_end, mask)
-            // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
-            .expect("probe endpoints must be connected");
-        first_start.get_or_insert(rec.start);
-        last_end = rec.end;
-    }
-    // simlint: allow(panic-in-library, reason = "the probe scheduled at least one transfer in the loop above")
-    let elapsed = last_end - first_start.expect("at least one transfer ran");
-    (size.as_f64() * PROBE_REPEATS as f64) / elapsed.as_secs_f64()
+    Prober::new(topo).unidirectional(a, b, size, mask)
 }
 
 /// Measures achieved aggregate bandwidth with both directions saturated
@@ -81,23 +203,7 @@ pub fn measure_bidirectional(
     size: ByteSize,
     mask: LinkMask,
 ) -> f64 {
-    let mut eng = TransferEngine::new(topo.clone());
-    let mut fwd_end = SimTime::ZERO;
-    let mut rev_end = SimTime::ZERO;
-    for _ in 0..PROBE_REPEATS {
-        fwd_end = eng
-            .transfer_masked(a, b, size, fwd_end, mask)
-            // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
-            .expect("probe endpoints must be connected")
-            .end;
-        rev_end = eng
-            .transfer_masked(b, a, size, rev_end, mask)
-            // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
-            .expect("probe endpoints must be connected")
-            .end;
-    }
-    let makespan = fwd_end.max(rev_end);
-    (size.as_f64() * 2.0 * PROBE_REPEATS as f64) / makespan.as_secs_f64()
+    Prober::new(topo).bidirectional(a, b, size, mask)
 }
 
 /// Measures delivery latency of a minimal transfer `a → b`.
@@ -106,12 +212,7 @@ pub fn measure_bidirectional(
 ///
 /// Panics if no allowed route exists between the endpoints.
 pub fn measure_latency(topo: &Topology, a: DeviceId, b: DeviceId, mask: LinkMask) -> SimDuration {
-    let mut eng = TransferEngine::new(topo.clone());
-    let rec = eng
-        .transfer_masked(a, b, ByteSize::kib(4), SimTime::ZERO, mask)
-        // simlint: allow(panic-in-library, reason = "probe endpoints are chosen from the probed machine's connected topology")
-        .expect("probe endpoints must be connected");
-    rec.elapsed()
+    Prober::new(topo).latency(a, b, mask)
 }
 
 /// Full point-to-point probe between `a` and `b` at `size`.
@@ -122,10 +223,11 @@ pub fn probe_pair(
     size: ByteSize,
     mask: LinkMask,
 ) -> ProbeResult {
+    let mut prober = Prober::new(topo);
     ProbeResult {
-        unidirectional: measure_unidirectional(topo, a, b, size, mask),
-        bidirectional: measure_bidirectional(topo, a, b, size, mask),
-        latency: measure_latency(topo, a, b, mask),
+        unidirectional: prober.unidirectional(a, b, size, mask),
+        bidirectional: prober.bidirectional(a, b, size, mask),
+        latency: prober.latency(a, b, mask),
     }
 }
 
@@ -138,13 +240,14 @@ pub fn bidirectional_matrix(
     size: ByteSize,
     mask: LinkMask,
 ) -> Vec<Vec<f64>> {
+    let mut prober = Prober::new(topo);
     let n = devices.len();
     let mut m = vec![vec![0.0; n]; n];
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                m[i][j] = measure_bidirectional(topo, devices[i], devices[j], size, mask)
-                    / (1u64 << 30) as f64;
+                m[i][j] =
+                    prober.bidirectional(devices[i], devices[j], size, mask) / (1u64 << 30) as f64;
             }
         }
     }
@@ -160,10 +263,7 @@ pub fn bandwidth_sweep(
     sizes: &[ByteSize],
     mask: LinkMask,
 ) -> Vec<(ByteSize, f64)> {
-    sizes
-        .iter()
-        .map(|&s| (s, measure_unidirectional(topo, a, b, s, mask)))
-        .collect()
+    Prober::new(topo).sweep(a, b, sizes, mask)
 }
 
 /// Standard probe sizes: powers of two from 4 KiB to 64 MiB.

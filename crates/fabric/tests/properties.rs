@@ -479,3 +479,172 @@ fn fault_plan_routing_matches_filtered_routing() {
         },
     );
 }
+
+/// One of the five fabrics COARSE profiles, with its switch uplinks
+/// jittered by ±10%: the staged T4, the P100, the V100 bare and with the
+/// CCI ring between its memory devices, and the 2-node V100 cluster.
+fn jittered_fabric(g: &mut Gen) -> machines::Machine {
+    use machines::{MachineBuilder, PartitionScheme};
+
+    // (preset, its uplink GiB/s, nodes, CCI ring)
+    let shapes = [
+        ("aws_t4", 12.0, 1, false),
+        ("sdsc_p100", 10.0, 1, false),
+        ("aws_v100", 9.0, 1, false),
+        ("aws_v100", 9.0, 1, true),
+        ("aws_v100", 9.0, 2, false),
+    ];
+    let &(preset, uplink, nodes, ring) = g.choose(&shapes);
+    let builder = MachineBuilder::preset(preset).uplink_gib(uplink * g.f64_in(0.9, 1.1));
+    let mut machine = if nodes > 1 {
+        builder.cluster(nodes).build()
+    } else {
+        builder.build()
+    };
+    if ring {
+        let members = machine.partition(PartitionScheme::OneToOne).mem_devices;
+        machine.augment_cci_ring(&members);
+    }
+    machine
+}
+
+/// The GPUs and host CPUs of `topo`: every pair is connected over PCIe
+/// plus the inter-node network.
+fn probe_endpoints(topo: &Topology) -> Vec<coarse_fabric::device::DeviceId> {
+    topo.devices()
+        .filter(|d| matches!(d.kind(), DeviceKind::Gpu | DeviceKind::Cpu))
+        .map(|d| d.id())
+        .collect()
+}
+
+/// A seeded sequence of probes of every kind on one `Prober` equals, bit
+/// for bit, the same probes each run by the free functions on a fresh
+/// engine (for transfer time, one transfer on a fresh engine).
+#[test]
+fn prober_session_matches_fresh_engine_probes() {
+    use coarse_fabric::probe::{self, Prober};
+    use coarse_fabric::topology::LinkMask;
+
+    let masks = [
+        LinkMask::ALL,
+        LinkMask::only(LinkClass::Pcie).with(LinkClass::Network),
+    ];
+    run_cases(
+        "prober_session_matches_fresh_engine_probes",
+        48,
+        |g: &mut Gen| {
+            let machine = jittered_fabric(g);
+            let topo = machine.topology();
+            let endpoints = probe_endpoints(topo);
+            let mut prober = Prober::new(topo);
+            for _ in 0..g.usize_in(1..10) {
+                let a = *g.choose(&endpoints);
+                let b = *g.choose(&endpoints);
+                if a == b {
+                    continue;
+                }
+                let mask = *g.choose(&masks);
+                let size = ByteSize::bytes(g.u64_in(1..64 << 20));
+                let what = format!("{} {a} -> {b}, {size} over {mask:?}", machine.name());
+                match g.usize_in(0..5) {
+                    0 => assert_eq!(
+                        prober.unidirectional(a, b, size, mask).to_bits(),
+                        probe::measure_unidirectional(topo, a, b, size, mask).to_bits(),
+                        "unidirectional {what}"
+                    ),
+                    1 => assert_eq!(
+                        prober.bidirectional(a, b, size, mask).to_bits(),
+                        probe::measure_bidirectional(topo, a, b, size, mask).to_bits(),
+                        "bidirectional {what}"
+                    ),
+                    2 => assert_eq!(
+                        prober.latency(a, b, mask),
+                        probe::measure_latency(topo, a, b, mask),
+                        "latency {what}"
+                    ),
+                    3 => {
+                        let fresh = TransferEngine::new(topo.clone())
+                            .transfer_masked(a, b, size, SimTime::ZERO, mask)
+                            .unwrap()
+                            .elapsed();
+                        assert_eq!(
+                            prober.transfer_time(a, b, size, mask),
+                            fresh,
+                            "transfer time {what}"
+                        );
+                    }
+                    _ => {
+                        let sizes: Vec<ByteSize> = probe::standard_sizes()
+                            .into_iter()
+                            .filter(|_| g.bool())
+                            .collect();
+                        let bits = |pts: Vec<(ByteSize, f64)>| -> Vec<(ByteSize, u64)> {
+                            pts.into_iter().map(|(s, r)| (s, r.to_bits())).collect()
+                        };
+                        assert_eq!(
+                            bits(prober.sweep(a, b, &sizes, mask)),
+                            bits(probe::bandwidth_sweep(topo, a, b, &sizes, mask)),
+                            "sweep {what}"
+                        );
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// After random traffic, plain transfers and shard trains alike,
+/// `reset_idle` leaves every link as a fresh engine's: the same
+/// `busy_until`, busy time and backlog at time zero, and a follow-up
+/// transfer times the same on both.
+#[test]
+fn reset_idle_matches_a_fresh_engine() {
+    use coarse_fabric::topology::LinkMask;
+
+    let masks = [
+        LinkMask::ALL,
+        LinkMask::only(LinkClass::Pcie).with(LinkClass::Network),
+    ];
+    run_cases("reset_idle_matches_a_fresh_engine", 64, |g: &mut Gen| {
+        let machine = jittered_fabric(g);
+        let topo = machine.topology();
+        let endpoints = probe_endpoints(topo);
+        let pick = |g: &mut Gen| {
+            let src = *g.choose(&endpoints);
+            let dst = *g.choose(&endpoints);
+            let size = ByteSize::bytes(g.u64_in(1..8 << 20));
+            let at = SimTime::from_nanos(g.u64_in(0..4_000_000));
+            (src, dst, size, at, *g.choose(&masks))
+        };
+        let mut used = TransferEngine::new(topo.clone());
+        for _ in 0..g.usize_in(1..12) {
+            let (src, dst, size, at, mask) = pick(g);
+            if g.bool() {
+                let shard = ByteSize::bytes(g.u64_in(1..1 << 20));
+                used.transfer_sharded(src, dst, size, shard, at, mask)
+                    .unwrap();
+            } else {
+                used.transfer_masked(src, dst, size, at, mask).unwrap();
+            }
+        }
+        used.reset_idle();
+        let mut fresh = TransferEngine::new(topo.clone());
+        let same_links = |x: &TransferEngine, y: &TransferEngine| {
+            for link in topo.links() {
+                let l = link.id();
+                assert_eq!(x.link_busy_until(l), y.link_busy_until(l));
+                assert_eq!(x.link_busy_time(l), y.link_busy_time(l));
+            }
+            assert!(x
+                .link_backlogs(SimTime::ZERO)
+                .eq(y.link_backlogs(SimTime::ZERO)));
+        };
+        same_links(&used, &fresh);
+        let (src, dst, size, at, mask) = pick(g);
+        assert_eq!(
+            used.transfer_masked(src, dst, size, at, mask),
+            fresh.transfer_masked(src, dst, size, at, mask)
+        );
+        same_links(&used, &fresh);
+    });
+}

@@ -17,13 +17,13 @@ use coarse_collectives::timed::{
     hierarchical_allreduce, ring_allreduce, CollectiveError, CollectiveResult,
 };
 use coarse_core::dualsync::{self, DualSyncInputs};
-use coarse_core::profiler::build_routing_table_for;
+use coarse_core::profiler::build_routing_tables;
 use coarse_core::resilience::{FailureKind, RecoveryAction, RecoveryPolicy, ResiliencePolicy};
 use coarse_core::routing::RoutingTable;
 use coarse_fabric::device::DeviceId;
 use coarse_fabric::engine::{Shards, TransferEngine, TransferError};
 use coarse_fabric::machines::{Machine, Partition};
-use coarse_fabric::probe;
+use coarse_fabric::probe::Prober;
 use coarse_fabric::topology::{LinkClass, LinkMask, Topology};
 use coarse_models::profile::ModelProfile;
 use coarse_models::training::IterationPlan;
@@ -209,59 +209,78 @@ impl Deployment<'_> {
         (proxy_path, gpu_bytes)
     }
 
-    /// Runs `iterations` and returns the steady-state period for a given
-    /// proxy-path byte budget `m`. A run nothing observes stops at the first
-    /// certified steady state (see [`SteadyState`]).
-    fn run(&self, proxy_budget: ByteSize, iterations: u32) -> SimDuration {
-        let unobserved = self.tracer.is_none()
-            && self.metrics.is_none()
-            && self.profiler.is_none()
-            && self.critpath.is_none();
-        self.run_inner(proxy_budget, iterations, false, unobserved)
-            .0
-    }
-
-    /// Full-detail run: also returns the engine (for link utilization) and
-    /// records the phase spans of the **last** iteration for timeline
-    /// rendering. With `certify`, the loop stops at the first iteration
-    /// boundary whose link backlog repeats and extrapolates the rest, so the
-    /// engine then holds only the simulated prefix; callers that read it,
-    /// or observe the run, pass `false`.
-    fn run_inner(
-        &self,
-        proxy_budget: ByteSize,
-        iterations: u32,
-        trace_last: bool,
-        certify: bool,
-    ) -> (SimDuration, TransferEngine, Vec<crate::timeline::PhaseSpan>) {
-        let plan = &self.plan;
-        let model = self.model;
-        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
-
+    /// A fresh engine on the deployed fabric with the deployment's
+    /// observers attached.
+    fn engine(&self) -> TransferEngine {
         let mut engine = TransferEngine::new(self.deployed.topology().clone());
         if let Some(m) = &self.metrics {
             engine.set_metrics(m.clone());
         }
-        let prof = self.profiler.clone();
-        if let Some(p) = &prof {
+        if let Some(p) = &self.profiler {
             engine.set_profiler(p.clone());
         }
-        let crit = self.critpath.clone();
-        if let Some(cp) = &crit {
+        if let Some(cp) = &self.critpath {
             engine.set_critpath(cp.clone());
         }
+        if let Some(t) = self.tracer.as_ref().filter(|t| t.is_enabled()) {
+            engine.set_tracer(t.clone());
+        }
+        engine
+    }
+
+    /// Runs `iterations` on `engine`, an idle engine from
+    /// [`engine`](Self::engine), and returns the steady-state period for a
+    /// given proxy-path byte budget `m`. A run nothing observes stops at the
+    /// first certified steady state (see [`SteadyState`]).
+    fn run(
+        &self,
+        engine: &mut TransferEngine,
+        proxy_budget: ByteSize,
+        iterations: u32,
+    ) -> SimDuration {
+        let unobserved = self.tracer.is_none()
+            && self.metrics.is_none()
+            && self.profiler.is_none()
+            && self.critpath.is_none();
+        self.run_inner(engine, proxy_budget, iterations, false, unobserved)
+            .0
+    }
+
+    /// Full-detail run on `engine`, an idle engine from
+    /// [`engine`](Self::engine), which the caller can then read for link
+    /// utilization; also records the phase spans of the **last** iteration
+    /// for timeline rendering. With `certify`, the loop stops at the first
+    /// iteration boundary whose link backlog repeats and extrapolates the
+    /// rest, so the engine then holds only the simulated prefix; callers
+    /// that read it, or observe the run, pass `false`.
+    fn run_inner(
+        &self,
+        engine: &mut TransferEngine,
+        proxy_budget: ByteSize,
+        iterations: u32,
+        trace_last: bool,
+        certify: bool,
+    ) -> (SimDuration, Vec<crate::timeline::PhaseSpan>) {
+        let plan = &self.plan;
+        let model = self.model;
+        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
+
+        // The certificate's premise: iteration 0 starts on an idle fabric.
+        debug_assert!(
+            engine.link_backlogs(SimTime::ZERO).all(|b| b.is_zero()),
+            "a run starts on an idle engine"
+        );
+        let prof = self.profiler.clone();
+        let crit = self.critpath.clone();
         let mut prev_sink: Option<NodeId> = None;
         let tracer = self.tracer.as_ref().filter(|t| t.is_enabled()).cloned();
-        let mut tracks = tracer.as_ref().map(|t| {
-            engine.set_tracer(t.clone());
-            TrainTracks {
-                iter: t.track("train: iteration"),
-                compute: t.track("train: compute"),
-                push: t.track("train: push"),
-                collective: t.track("train: collective"),
-                pull: t.track("train: pull"),
-                proxies: BTreeMap::new(),
-            }
+        let mut tracks = tracer.as_ref().map(|t| TrainTracks {
+            iter: t.track("train: iteration"),
+            compute: t.track("train: compute"),
+            push: t.track("train: push"),
+            collective: t.track("train: collective"),
+            pull: t.track("train: pull"),
+            proxies: BTreeMap::new(),
         });
         // Shards parked at each proxy since its last collective (the
         // analytic run never instantiates ParameterProxy objects, so the
@@ -272,7 +291,6 @@ impl Deployment<'_> {
         let mut first_period_end = SimTime::ZERO;
         let mut spans: Vec<crate::timeline::PhaseSpan> = Vec::new();
         let mut steady = certify.then(SteadyState::new);
-        let mut certified = false;
         for k in 0..iterations {
             use crate::timeline::{PhaseKind, PhaseSpan};
             let tracing = trace_last && k + 1 == iterations;
@@ -466,7 +484,7 @@ impl Deployment<'_> {
                         .map(|&d| ready_of(d))
                         .collect();
                     hierarchical_allreduce(
-                        &mut engine,
+                        engine,
                         &self.node_mem_rings,
                         total,
                         &ready,
@@ -479,7 +497,7 @@ impl Deployment<'_> {
                     let ready: Vec<SimTime> =
                         self.mem_devices.iter().map(|&d| ready_of(d)).collect();
                     ring_allreduce(
-                        &mut engine,
+                        engine,
                         &self.mem_devices,
                         total,
                         &ready,
@@ -640,7 +658,7 @@ impl Deployment<'_> {
             } else if multi_node {
                 let total: usize = self.node_gpu_rings.iter().map(Vec::len).sum();
                 hierarchical_allreduce(
-                    &mut engine,
+                    engine,
                     &self.node_gpu_rings,
                     gpu_bytes,
                     &vec![backward_end; total],
@@ -651,7 +669,7 @@ impl Deployment<'_> {
                 .end
             } else if self.gpu_ring.len() >= 2 {
                 ring_allreduce(
-                    &mut engine,
+                    engine,
                     &self.gpu_ring,
                     gpu_bytes,
                     &vec![backward_end; self.gpu_ring.len()],
@@ -740,19 +758,26 @@ impl Deployment<'_> {
             let remaining = iterations - k - 1;
             if let Some(end) = steady
                 .as_mut()
-                .and_then(|s| s.certified_end(&engine, start, remaining))
+                .and_then(|s| s.certified_end(engine, start, remaining))
             {
                 start = end;
-                certified = true;
                 break;
             }
         }
         let period = (start - first_period_end) / (iterations as u64 - 1).max(1);
-        if cfg!(debug_assertions) && certified {
-            let full = self.run_inner(proxy_budget, iterations, false, false).0;
-            assert_eq!(period, full, "certified steady state matches the full loop");
+        // Debug builds check every certifiable run against the full loop on
+        // a fresh engine: the shortcut when it certified, and the reuse of
+        // an engine returned to idle (the pilot grid's) either way.
+        if cfg!(debug_assertions) && certify {
+            let full = self
+                .run_inner(&mut self.engine(), proxy_budget, iterations, false, false)
+                .0;
+            assert_eq!(
+                period, full,
+                "a certifiable run matches the full loop on a fresh engine"
+            );
         }
-        (period, engine, spans)
+        (period, spans)
     }
 
     /// Fault-injected run: like [`run_inner`](Self::run_inner) but every
@@ -1942,13 +1967,12 @@ impl FaultDeployState {
         if self.mem_devices.len() < 2 {
             self.gpu_only = true;
         } else {
-            self.tables = workers
-                .iter()
-                .enumerate()
-                .map(|(w, &worker)| {
-                    build_routing_table_for(topo, worker, &self.mem_devices, w, SimTime::ZERO)
-                })
-                .collect();
+            self.tables = build_routing_tables(
+                &mut Prober::new(topo),
+                workers,
+                &self.mem_devices,
+                SimTime::ZERO,
+            );
         }
     }
 
@@ -2497,7 +2521,8 @@ impl Prepared<'_> {
     /// Panics if `iterations < 2`.
     pub(crate) fn clean(&self, iterations: u32) -> TrainResult {
         assert_steady_state(iterations);
-        self.train_result(self.deployment.run(self.best_m, iterations))
+        let mut engine = self.deployment.engine();
+        self.train_result(self.deployment.run(&mut engine, self.best_m, iterations))
     }
 
     /// A run under `plan` (see [`simulate_coarse_faulty`]). An empty plan
@@ -2589,9 +2614,10 @@ impl Prepared<'_> {
     /// descending order.
     fn with_hotspots(&self, iterations: u32, top_n: usize) -> (TrainResult, Vec<(String, f64)>) {
         assert_steady_state(iterations);
-        let (period, engine, _) = self
-            .deployment
-            .run_inner(self.best_m, iterations, false, false);
+        let mut engine = self.deployment.engine();
+        let (period, _) =
+            self.deployment
+                .run_inner(&mut engine, self.best_m, iterations, false, false);
         let horizon = SimTime::ZERO + period * u64::from(iterations);
         let topo = engine.topology();
         let links = engine
@@ -3019,28 +3045,20 @@ fn prepare_traced<'a>(
     }
     let proxy_mask: LinkMask = if emulated_p2p { CCI_ONLY } else { PCIE_ONLY };
 
-    // Profile routing tables against the deployed fabric (PCIe paths only,
-    // §IV-B), spreading bandwidth ties across clients.
-    let tables: Vec<RoutingTable> = workers
-        .iter()
-        .enumerate()
-        .map(|(w, &worker)| {
-            build_routing_table_for(deployed.topology(), worker, &mem_devices, w, SimTime::ZERO)
-        })
-        .collect();
-
-    // Measured collective bandwidths seed the analytic optimizer.
+    // One probing session measures the deployed fabric: the routing tables
+    // (PCIe paths only, §IV-B, spreading bandwidth ties across clients),
+    // then the collective bandwidths that seed the analytic optimizer.
+    let mut prober = Prober::new(deployed.topology());
+    let tables = build_routing_tables(&mut prober, &workers, &mem_devices, SimTime::ZERO);
     let proxy_bw = {
-        let intra = probe::measure_unidirectional(
-            deployed.topology(),
+        let intra = prober.unidirectional(
             node_mem_rings[0][0],
             node_mem_rings[0][std::cmp::min(1, node_mem_rings[0].len() - 1)],
             ByteSize::mib(64),
             proxy_mask,
         );
         let cross = if node_mem_rings.len() > 1 {
-            probe::measure_unidirectional(
-                deployed.topology(),
+            prober.unidirectional(
                 node_mem_rings[0][0],
                 node_mem_rings[1][0],
                 ByteSize::mib(64),
@@ -3067,8 +3085,7 @@ fn prepare_traced<'a>(
         .filter(|r| !r.is_empty())
         .collect();
     let gpu_bw = if gpu_ring.len() >= 2 {
-        Bandwidth::bytes_per_sec(probe::measure_unidirectional(
-            deployed.topology(),
+        Bandwidth::bytes_per_sec(prober.unidirectional(
             gpu_ring[0],
             gpu_ring[1],
             ByteSize::mib(64),
@@ -3077,6 +3094,9 @@ fn prepare_traced<'a>(
     } else {
         Bandwidth::gib_per_sec(1000.0)
     };
+    // The pilot grid runs on an engine of its own, so the probe routes
+    // need not stay cached alongside the pilot's.
+    drop(prober);
 
     let inputs = DualSyncInputs {
         workers: workers.len(),
@@ -3134,10 +3154,13 @@ fn prepare_traced<'a>(
     candidates.dedup();
     let pilot_runs = candidates.len();
     let debug = pilot_debug();
+    // Every candidate runs on one engine, returned to idle in between.
+    let mut engine = deployment.engine();
     let best_m = candidates
         .into_iter()
         .map(|m| {
-            let period = deployment.run(m, 2);
+            engine.reset_idle();
+            let period = deployment.run(&mut engine, m, 2);
             if debug {
                 eprintln!("[coarse]   pilot m={m} -> period={period}");
             }
@@ -3222,9 +3245,13 @@ pub fn trace_coarse(
     batch_per_gpu: u32,
 ) -> crate::timeline::IterationTrace {
     let prepared = prepare(machine, partition, model, batch_per_gpu);
-    let (period, _, spans) = prepared
-        .deployment
-        .run_inner(prepared.best_m, 3, true, false);
+    let (period, spans) = prepared.deployment.run_inner(
+        &mut prepared.deployment.engine(),
+        prepared.best_m,
+        3,
+        true,
+        false,
+    );
     crate::timeline::IterationTrace::new(spans, period)
 }
 
@@ -3915,8 +3942,9 @@ mod tests {
                 }
                 let pilot = ByteSize::bytes(model.total_bytes().as_u64() * g.u64_in(0..9) / 8);
                 for m in [prepared.best_m, pilot] {
-                    let certified = prepared.deployment.run_inner(m, iterations, false, true).0;
-                    let full = prepared.deployment.run_inner(m, iterations, false, false).0;
+                    let d = &prepared.deployment;
+                    let certified = d.run_inner(&mut d.engine(), m, iterations, false, true).0;
+                    let full = d.run_inner(&mut d.engine(), m, iterations, false, false).0;
                     assert_eq!(
                         certified, full,
                         "{preset} ×{nodes} batch {batch} m={m} {iterations} iterations input={input}"

@@ -14,7 +14,7 @@
 use coarse_cci::coherence::sharing_overhead_factor;
 use coarse_core::resilience::ResiliencePolicy;
 use coarse_fabric::machines::{Machine, Partition};
-use coarse_fabric::probe;
+use coarse_fabric::probe::Prober;
 use coarse_fabric::topology::{LinkClass, LinkMask};
 use coarse_models::profile::ModelProfile;
 use coarse_models::training::IterationPlan;
@@ -97,17 +97,12 @@ fn dense_inner(
     // device (staged through the CPU on non-p2p machines; the local worker
     // may sit on a slower hairpin path than remote ones).
     let coherence = sharing_overhead_factor(workers + 1);
+    let mut prober = Prober::new(machine.topology());
     let rates: Vec<f64> = partition
         .workers
         .iter()
         .map(|&w| {
-            let bus = probe::measure_unidirectional(
-                machine.topology(),
-                w,
-                device,
-                ByteSize::mib(64),
-                PCIE_ONLY,
-            );
+            let bus = prober.unidirectional(w, device, ByteSize::mib(64), PCIE_ONLY);
             // Coherent-access rate, per the prototype's correlated slowdown
             // plus sharer-dependent coherence traffic.
             bus / CCI_COHERENT_SLOWDOWN / coherence
@@ -237,18 +232,13 @@ pub fn simulate_dense_faulty(
     let coherence = sharing_overhead_factor(workers + 1);
     // Rates are re-probed (on the healthy fabric) whenever the service
     // fails over to a different device.
-    let rates_for = |device| -> Vec<f64> {
+    let mut prober = Prober::new(machine.topology());
+    let mut rates_for = |device| -> Vec<f64> {
         partition
             .workers
             .iter()
             .map(|&w| {
-                let bus = probe::measure_unidirectional(
-                    machine.topology(),
-                    w,
-                    device,
-                    ByteSize::mib(64),
-                    PCIE_ONLY,
-                );
+                let bus = prober.unidirectional(w, device, ByteSize::mib(64), PCIE_ONLY);
                 bus / CCI_COHERENT_SLOWDOWN / coherence
             })
             .collect()

@@ -46,3 +46,81 @@ fn profile_counters_match_committed_bench_baseline() {
         cmp.errors.join("\n")
     );
 }
+
+/// The fields [`compare_reports`] holds exact: the schema, the document's
+/// members, each bench row's name, work and unit, and the profile's
+/// scenario and deterministic section.
+fn deterministic_view(doc: &JsonValue) -> String {
+    let render = |v: Option<&JsonValue>| v.map(JsonValue::render);
+    let members: Vec<&str> = match doc {
+        JsonValue::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => Vec::new(),
+    };
+    let rows: Vec<_> = doc
+        .get("benches")
+        .and_then(JsonValue::as_array)
+        .unwrap_or_default()
+        .iter()
+        .map(|r| {
+            (
+                render(r.get("name")),
+                render(r.get("work")),
+                render(r.get("unit")),
+            )
+        })
+        .collect();
+    let profile = doc.get("profile");
+    format!(
+        "{:?} {members:?} {rows:?} {:?} {:?}",
+        render(doc.get("schema")),
+        render(profile.and_then(|p| p.get("scenario"))),
+        render(profile.and_then(|p| p.get("deterministic"))),
+    )
+}
+
+/// The baseline reader takes arbitrary bytes: `BENCH_seed.json` truncated
+/// and with random bits flipped either fails to decode as UTF-8 or to
+/// parse, with a typed error, or parses into a document that
+/// [`compare_reports`] checks against the intact seed in both directions
+/// without panicking. A comparison that passes had every exactly-held
+/// field intact; only wall-clock fields may have changed.
+#[test]
+fn bench_reader_survives_truncation_and_bit_flips() {
+    use coarse_simcore::check::{run_cases, Gen};
+
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_seed.json");
+    let bytes = std::fs::read(path).expect("BENCH_seed.json is committed at the root");
+    let seed = committed_baseline();
+    run_cases(
+        "bench_reader_survives_truncation_and_bit_flips",
+        512,
+        |g: &mut Gen| {
+            let mut fuzzed = bytes.clone();
+            if g.bool() {
+                fuzzed.truncate(g.usize_in(0..bytes.len()));
+            }
+            for _ in 0..g.usize_in(0..4) {
+                if let Some(len) = std::num::NonZeroUsize::new(fuzzed.len()) {
+                    let at = g.usize_in(0..len.get());
+                    fuzzed[at] ^= 1 << g.usize_in(0..8);
+                }
+            }
+            let Ok(text) = String::from_utf8(fuzzed) else {
+                return;
+            };
+            let Ok(doc) = JsonValue::parse(&text) else {
+                return;
+            };
+            for (current, baseline) in [(&doc, &seed), (&seed, &doc)] {
+                let cmp = compare_reports(current, baseline, WALL_TOLERANCE);
+                if cmp.passed() {
+                    assert_eq!(
+                        deterministic_view(&doc),
+                        deterministic_view(&seed),
+                        "a comparison passed over a changed exact field:\n{text}"
+                    );
+                }
+            }
+        },
+    );
+}
