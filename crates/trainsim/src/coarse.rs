@@ -2661,6 +2661,8 @@ impl Prepared<'_> {
         reference: Option<u64>,
         run: impl FnOnce(&Self) -> R,
     ) -> R {
+        #[cfg(test)]
+        stream_digest::arm(hub);
         if let Some(hash) = reference {
             hub.emit(OracleEvent::ReferenceFingerprint { hash });
         }
@@ -2985,6 +2987,67 @@ pub(crate) mod prepare_count {
     /// Deployment decisions made on this thread so far.
     pub(crate) fn get() -> u64 {
         PREPARES.with(Cell::get)
+    }
+}
+
+/// Test-only digests of oracle event streams. While [`record`] runs, every
+/// run armed through [`Prepared::observed`] also feeds a digest oracle: an
+/// FNV-1a hash of each event's `Debug` rendering, in order.
+///
+/// [`record`]: stream_digest::record
+#[cfg(test)]
+pub(crate) mod stream_digest {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
+    use coarse_simcore::oracle::{Oracle, OracleEvent, OracleHub, Violation};
+
+    thread_local! {
+        static RUNS: RefCell<Option<Vec<Rc<Cell<u64>>>>> = const { RefCell::new(None) };
+    }
+
+    struct Digest(Rc<Cell<u64>>);
+
+    impl Oracle for Digest {
+        fn name(&self) -> &'static str {
+            "stream-digest"
+        }
+
+        fn observe(&mut self, ev: &OracleEvent) {
+            let mut h = self.0.get();
+            for b in format!("{ev:?}").bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            self.0.set(h);
+        }
+
+        fn violations(&self) -> Vec<Violation> {
+            Vec::new()
+        }
+    }
+
+    /// Registers a digest oracle on `hub` when a [`record`] is in progress.
+    pub(super) fn arm(hub: &OracleHub) {
+        RUNS.with(|runs| {
+            if let Some(runs) = runs.borrow_mut().as_mut() {
+                let digest = Rc::new(Cell::new(0xcbf2_9ce4_8422_2325));
+                runs.push(Rc::clone(&digest));
+                hub.register(Box::new(Digest(digest)));
+            }
+        });
+    }
+
+    /// Runs `f` and returns the stream digest of every observed run inside
+    /// it, in run order.
+    pub(crate) fn record(f: impl FnOnce()) -> Vec<u64> {
+        RUNS.with(|runs| *runs.borrow_mut() = Some(Vec::new()));
+        f();
+        RUNS.with(|runs| runs.borrow_mut().take())
+            .unwrap_or_default()
+            .iter()
+            .map(|d| d.get())
+            .collect()
     }
 }
 
@@ -3965,5 +4028,62 @@ mod tests {
             "GPU utilization {:.2} too low",
             r.gpu_utilization()
         );
+    }
+
+    /// The oracle event streams of the first chaos-soak cases and of every
+    /// preset's recovery report, pinned by digest: a change to the training
+    /// loop must reproduce every transfer, shard attempt, stream reset,
+    /// membership epoch and iteration boundary in the same order. To
+    /// regenerate after an *intentional* semantic change, run this test
+    /// with `UPDATE_GOLDENS=1`.
+    #[test]
+    fn oracle_streams_match_golden() {
+        use crate::chaos::{soak, SoakConfig};
+        use crate::recovery::recovery_report;
+        use crate::scenario::Scenario;
+
+        const CHAOS_CASES: u32 = 20;
+        /// Iterations per recovery report, as `figures -- recover` runs them.
+        const RECOVER_ITERATIONS: u32 = 6;
+
+        let mut lines = Vec::new();
+        let cfg = SoakConfig {
+            cases: CHAOS_CASES,
+            ..SoakConfig::default()
+        };
+        let chaos = stream_digest::record(|| {
+            let outcome = soak(&cfg).expect("soak runs");
+            assert!(outcome.failures.is_empty(), "{}", outcome.render_summary());
+        });
+        assert_eq!(
+            chaos.len(),
+            CHAOS_CASES as usize,
+            "one observed run per case"
+        );
+        for (case, digest) in chaos.iter().enumerate() {
+            let preset = &cfg.presets[case % cfg.presets.len()];
+            lines.push(format!("chaos case {case} {preset}: {digest:#018x}"));
+        }
+        for preset in Scenario::presets() {
+            let digests = stream_digest::record(|| {
+                recovery_report(preset, RECOVER_ITERATIONS, &RecoveryPolicy::default())
+                    .expect("preset recovers");
+            });
+            assert_eq!(digests.len(), 1, "one observed run per report");
+            lines.push(format!("recovery {preset}: {:#018x}", digests[0]));
+        }
+        let got = lines.join("\n") + "\n";
+
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/goldens/oracle-streams.txt"
+        );
+        if std::env::var_os("UPDATE_GOLDENS").is_some() {
+            std::fs::write(path, &got).expect("write golden");
+            return;
+        }
+        let want = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("missing golden {path}: {e}; run UPDATE_GOLDENS=1"));
+        assert_eq!(got, want, "oracle event streams drifted from their golden");
     }
 }
