@@ -125,7 +125,11 @@ mod tests {
             samples: 3,
             min_batch: Duration::from_micros(50),
         };
-        let d = b.run("spin", || (0..100u64).sum::<u64>());
+        // Opaque bounds and terms keep release builds from folding the sum
+        // into a constant, which would time nothing.
+        let d = b.run("spin", || {
+            (0..black_box(100u64)).map(black_box).sum::<u64>()
+        });
         assert!(d > Duration::ZERO);
     }
 

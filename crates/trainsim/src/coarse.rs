@@ -9,6 +9,7 @@
 //! actually minimizes the iteration period on this fabric — capturing the
 //! push/pull contention the analytic model abstracts away.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use coarse_cci::checkpoint::plan_pool_checkpoint;
@@ -24,7 +25,7 @@ use coarse_fabric::device::DeviceId;
 use coarse_fabric::engine::{Shards, TransferEngine, TransferError};
 use coarse_fabric::machines::{Machine, Partition};
 use coarse_fabric::probe::Prober;
-use coarse_fabric::topology::{LinkClass, LinkMask, Topology};
+use coarse_fabric::topology::{LinkClass, LinkMask};
 use coarse_models::profile::ModelProfile;
 use coarse_models::training::IterationPlan;
 use coarse_simcore::critpath::{class as crit_class, CritPath, NodeId};
@@ -38,6 +39,7 @@ use coarse_simcore::units::{Bandwidth, ByteSize};
 
 use crate::config::TrainResult;
 use crate::gpu_for;
+use crate::timeline::PhaseSpan;
 
 /// Pilot-phase debug logging, set once at process startup by the CLI
 /// front-end (the `COARSE_DEBUG` environment variable) instead of read
@@ -209,10 +211,8 @@ impl Deployment<'_> {
         (proxy_path, gpu_bytes)
     }
 
-    /// A fresh engine on the deployed fabric with the deployment's
-    /// observers attached.
-    fn engine(&self) -> TransferEngine {
-        let mut engine = TransferEngine::new(self.deployed.topology().clone());
+    /// `engine` with the deployment's observers attached.
+    fn observe(&self, mut engine: TransferEngine) -> TransferEngine {
         if let Some(m) = &self.metrics {
             engine.set_metrics(m.clone());
         }
@@ -228,52 +228,795 @@ impl Deployment<'_> {
         engine
     }
 
-    /// Runs `iterations` on `engine`, an idle engine from
-    /// [`engine`](Self::engine), and returns the steady-state period for a
-    /// given proxy-path byte budget `m`. A run nothing observes stops at the
-    /// first certified steady state (see [`SteadyState`]).
-    fn run(
+    /// A fresh engine on the deployed fabric with the deployment's
+    /// observers attached.
+    fn engine(&self) -> TransferEngine {
+        self.observe(TransferEngine::new(self.deployed.topology().clone()))
+    }
+
+    /// A fresh engine for a run facing `faults`. A clean run gets the
+    /// deployed fabric. Every other run gets the CCI fabric deployed as a
+    /// *mesh*: after an eviction the ring's wrap-around pair is not
+    /// ring-adjacent, and memory devices cannot forward for each other (they
+    /// are emulated by GPUs, §IV-B), so ring survivors would be unroutable.
+    /// The real CCI switch reconnects any surviving pair; the mesh models
+    /// that, and its neighbor links carry the ring's bandwidth model, so the
+    /// healthy portion of a run times identically. The plan and the oracle
+    /// battery ride along when the plan injects anything.
+    fn engine_for(&self, faults: Faults<'_>) -> TransferEngine {
+        if faults.clean() {
+            return self.engine();
+        }
+        let mut mesh = self.machine.clone();
+        if self.machine.topology().p2p_enabled() {
+            for ring in self.node_mem_rings.iter().filter(|r| r.len() >= 2) {
+                mesh.augment_cci_mesh(ring);
+            }
+        }
+        let mut engine = self.observe(TransferEngine::new(mesh.into_topology()));
+        if !faults.plan.is_empty() {
+            engine.set_fault_plan(faults.plan.clone());
+            if let Some(hub) = &self.oracles {
+                engine.set_oracles(hub.clone());
+            }
+        }
+        engine
+    }
+
+    /// Runs `iterations` at proxy budget `proxy_budget` on `engine`, an idle
+    /// engine from [`engine_for`](Self::engine_for), under `faults`, and
+    /// returns the steady-state period with the run's accounting. `spans`
+    /// collects the phase spans of the last iteration for timeline
+    /// rendering.
+    ///
+    /// A clean run nothing observes, whose caller neither wants its spans
+    /// nor reads the engine afterwards (`full_loop`), stops at the first
+    /// certified steady state (see [`SteadyState`]); the engine then holds
+    /// only the simulated prefix.
+    fn train(
         &self,
         engine: &mut TransferEngine,
         proxy_budget: ByteSize,
         iterations: u32,
-    ) -> SimDuration {
-        let unobserved = self.tracer.is_none()
+        faults: Faults<'_>,
+        spans: Option<&mut Vec<PhaseSpan>>,
+        full_loop: bool,
+    ) -> (SimDuration, RunStats) {
+        let clean = faults.clean();
+        let certify = clean
+            && !full_loop
+            && spans.is_none()
+            && self.tracer.is_none()
             && self.metrics.is_none()
             && self.profiler.is_none()
             && self.critpath.is_none();
-        self.run_inner(engine, proxy_budget, iterations, false, unobserved)
-            .0
+        let run = Run {
+            d: self,
+            engine,
+            plan: faults.plan,
+            response: faults.response,
+            hub: self.oracles.as_ref().filter(|_| !faults.plan.is_empty()),
+            clean,
+            mem_devices: Cow::Borrowed(&self.mem_devices),
+            node_mem_rings: Cow::Borrowed(&self.node_mem_rings),
+            tables: Cow::Borrowed(&self.tables),
+            gpu_only: false,
+            stamp: SimTime::ZERO,
+            transfer_seq: 0,
+            completed: 0,
+            last_ckpt: 0,
+            hard_failure: None,
+            stats: RunStats::default(),
+        };
+        run.train(proxy_budget, iterations, spans, certify)
     }
 
-    /// Full-detail run on `engine`, an idle engine from
-    /// [`engine`](Self::engine), which the caller can then read for link
-    /// utilization; also records the phase spans of the **last** iteration
-    /// for timeline rendering. With `certify`, the loop stops at the first
-    /// iteration boundary whose link backlog repeats and extrapolates the
-    /// rest, so the engine then holds only the simulated prefix; callers
-    /// that read it, or observe the run, pass `false`.
-    fn run_inner(
+    /// The period of a clean run on `engine`, an idle engine from
+    /// [`engine`](Self::engine) (see [`train`](Self::train)).
+    fn period(
         &self,
         engine: &mut TransferEngine,
         proxy_budget: ByteSize,
         iterations: u32,
-        trace_last: bool,
+        spans: Option<&mut Vec<PhaseSpan>>,
+        full_loop: bool,
+    ) -> SimDuration {
+        let (plan, policy) = (FaultPlan::empty(), ResiliencePolicy::default());
+        let faults = Faults {
+            plan: &plan,
+            response: Response::Failover(&policy),
+        };
+        self.train(engine, proxy_budget, iterations, faults, spans, full_loop)
+            .0
+    }
+}
+
+/// How a run answers the faults of its plan, chosen by its entry point:
+/// [`Prepared::faulty`] fails over and [`Prepared::recovering`] recovers.
+/// It decides four things and nothing else: a shard's retry budget, what a
+/// proxy death mid-push, mid-pull or before the collective does, what a
+/// dropout found at a round start does, and whether the pool checkpoints.
+#[derive(Clone, Copy)]
+enum Response<'p> {
+    /// §III-E failover: a rejected shard is resent until
+    /// [`MAX_PUSH_ATTEMPTS`] and then accepted, severed routes are waited
+    /// out, and a dead proxy is evicted while the interrupted stream or
+    /// collective restarts over the survivors.
+    Failover(&'p ResiliencePolicy),
+    /// The recovery engine: bounded budgets escalate to elastic eviction, a
+    /// dead proxy restores the pool's last checkpoint and rolls the run
+    /// back, and pool checkpoints are traffic.
+    Recover(&'p RecoveryPolicy),
+}
+
+impl Response<'_> {
+    fn resilience(&self) -> &ResiliencePolicy {
+        match self {
+            Response::Failover(p) => p,
+            Response::Recover(p) => &p.resilience,
+        }
+    }
+
+    /// Whether a transfer that failed `rejects` seal checks and waited out
+    /// `waits` outages tries again after one more failure of `kind`.
+    fn retries(&self, kind: FailureKind, rejects: u32, waits: u32) -> bool {
+        match self {
+            Response::Failover(_) if kind == FailureKind::RouteOutage => {
+                assert!(
+                    rejects + waits < MAX_FLAP_WAITS,
+                    "a route never recovered from its flap"
+                );
+                true
+            }
+            Response::Failover(_) => rejects + waits < MAX_PUSH_ATTEMPTS,
+            Response::Recover(p) => {
+                let attempt = if kind == FailureKind::CorruptStream {
+                    rejects
+                } else {
+                    waits
+                };
+                p.action_for(kind, attempt) == RecoveryAction::Retry
+            }
+        }
+    }
+
+    /// The backoff before resending a rejected seal.
+    fn backoff(&self, rejects: u32, waits: u32) -> SimDuration {
+        match self {
+            Response::Failover(p) => p.backoff_after(rejects + waits),
+            Response::Recover(p) => p.resilience.backoff_after(rejects),
+        }
+    }
+
+    /// Whether a proxy death restores the last pool checkpoint (and an
+    /// exhausted budget evicts) rather than failing over in place.
+    fn restores(&self) -> bool {
+        matches!(self, Response::Recover(_))
+    }
+
+    fn checkpoint_due(&self, completed: u32, iterations: u32) -> bool {
+        matches!(self, Response::Recover(p) if p.checkpoint_due(completed, iterations))
+    }
+}
+
+/// What one run faces: a fault plan and the response its entry point chose.
+#[derive(Clone, Copy)]
+struct Faults<'p> {
+    plan: &'p FaultPlan,
+    response: Response<'p>,
+}
+
+impl Faults<'_> {
+    /// A run with nothing injected and nothing checkpointed.
+    fn clean(&self) -> bool {
+        self.plan.is_empty()
+            && !matches!(self.response, Response::Recover(p) if p.checkpoint_interval > 0)
+    }
+}
+
+/// After this many integrity rejections of one shard the retransmission is
+/// assumed to land clean (the link re-trains), so 100%-corruption plans
+/// still terminate under failover.
+const MAX_PUSH_ATTEMPTS: u32 = 32;
+
+/// Cap on waiting out a flapped route before declaring the fabric broken.
+const MAX_FLAP_WAITS: u32 = 10_000;
+
+/// Accounting of one run. All times are exact sums in integer nanoseconds.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunStats {
+    /// Retransmissions of integrity-rejected sealed pushes.
+    retries: u64,
+    /// Proxies evicted from the pool; also the final membership epoch.
+    evictions: u64,
+    /// Evictions for an exhausted retry budget (elastic repairs).
+    repairs: u64,
+    /// Restore episodes (rollback to the last pool checkpoint).
+    restores: u64,
+    /// Pool checkpoints committed.
+    checkpoints: u64,
+    /// Simulated time training stalled on checkpoint pushes.
+    checkpoint_time: SimDuration,
+    /// Bytes sealed-pushed into the pool by committed checkpoints.
+    checkpoint_bytes: u64,
+    /// Simulated time spent coherently reading images back out.
+    restore_time: SimDuration,
+    /// Bytes coherently read back by restores.
+    restore_bytes: u64,
+    /// Committed iterations rolled back and re-executed.
+    lost_iterations: u64,
+    /// Simulated time charged to failure detection.
+    detection_time: SimDuration,
+    /// Simulated time spent backing off and waiting out outages.
+    backoff_time: SimDuration,
+    /// Summed failure-to-recovered episode lengths (MTTR numerator).
+    mttr_total: SimDuration,
+    degraded_to_gpu: bool,
+    /// Total wall time of the run (first iteration start to last commit).
+    wall: SimDuration,
+    /// Latest simulated instant the run touched (the `RunEnd` stamp).
+    end: SimTime,
+}
+
+/// One point-to-point transfer [`Run::transfer`] drives to completion.
+struct Leg {
+    src: DeviceId,
+    dst: DeviceId,
+    /// The pool member an exhausted budget evicts.
+    proxy: DeviceId,
+    bytes: ByteSize,
+    mask: LinkMask,
+    /// False for coherent reads, which carry no seal to reject.
+    sealed: bool,
+}
+
+/// Oracle label of one shard: which attempt stream it belongs to.
+struct ShardStream {
+    worker: u32,
+    stream: u64,
+    shard: u32,
+}
+
+/// What one [`Leg`] came to.
+enum LegOutcome {
+    Done(SimTime),
+    /// A pool member must leave: an endpoint died (`hard`) or the leg
+    /// exhausted its retry budget (`!hard`, blaming [`Leg::proxy`]).
+    Evict {
+        device: DeviceId,
+        hard: bool,
+        at: SimTime,
+    },
+}
+
+/// Shard streams are keyed per (execution attempt, direction, tensor), so a
+/// stream id never legitimately restarts at shard 0 and a re-executed
+/// iteration never replays an old stream: the retry-FIFO oracle needs
+/// resets only for genuine restarts.
+fn stream_id(attempt: u64, pull: bool, tensor: usize) -> u64 {
+    (attempt << 33) | (u64::from(pull) << 32) | tensor as u64
+}
+
+/// The shard label the oracle is told about: honest under
+/// [`Sabotage::None`], inverted under [`Sabotage::InvertRetryOrder`] so the
+/// retry-FIFO oracle sees shard indices regress.
+fn shard_label(i: usize, n: usize, sabotage: Sabotage) -> u32 {
+    match sabotage {
+        Sabotage::None => i as u32,
+        Sabotage::InvertRetryOrder => (n - 1 - i) as u32,
+    }
+}
+
+/// One run of the training loop in progress: the deployment and faults it
+/// runs under, the surviving proxy pool, and the accounting so far.
+struct Run<'r, 'a> {
+    d: &'r Deployment<'a>,
+    engine: &'r mut TransferEngine,
+    plan: &'r FaultPlan,
+    response: Response<'r>,
+    /// The oracle battery, armed only for runs whose plan injects anything.
+    hub: Option<&'r OracleHub>,
+    /// Nothing injected and nothing checkpointed.
+    clean: bool,
+    /// The surviving pool and its routing, borrowed from the deployment
+    /// until the first eviction.
+    mem_devices: Cow<'r, [DeviceId]>,
+    node_mem_rings: Cow<'r, [Vec<DeviceId>]>,
+    tables: Cow<'r, [RoutingTable]>,
+    /// The proxy tier is lost: the GPUs synchronize everything.
+    gpu_only: bool,
+    /// The latest announced membership instant.
+    stamp: SimTime,
+    /// Per-attempt sequence number keying the plan's corruption draws.
+    transfer_seq: u64,
+    /// Committed iterations: rolled back on restore, so re-executed work
+    /// shows as wall-clock without double-counting progress.
+    completed: u32,
+    /// The committed iteration of the last durable pool checkpoint;
+    /// iteration 0's initial parameter distribution counts as checkpoint 0.
+    last_ckpt: u32,
+    /// A proxy death that abandoned the iteration, awaiting its restore.
+    hard_failure: Option<SimTime>,
+    stats: RunStats,
+}
+
+impl Run<'_, '_> {
+    fn detect(&self) -> SimDuration {
+        self.response.resilience().detect_timeout
+    }
+
+    fn emit(&self, ev: OracleEvent) {
+        if let Some(hub) = self.hub {
+            hub.emit(ev);
+        }
+    }
+
+    /// One instant on the resilience track of a traced run.
+    fn note(&self, at: SimTime, what: impl FnOnce() -> String) {
+        if let Some(t) = self.d.tracer.as_ref().filter(|t| t.is_enabled()) {
+            let track = t.track("faults: resilience");
+            t.instant(at, category::FAULT, track, &what());
+        }
+    }
+
+    /// The stall `device` adds to a service at `at`, reported as a bite.
+    fn stall(&self, device: DeviceId, at: SimTime) -> SimDuration {
+        let stall = self.plan.stall(device.index() as u32, at);
+        if stall > SimDuration::ZERO {
+            self.emit(OracleEvent::FaultBite {
+                kind: BiteKind::Stall,
+                at,
+            });
+        }
+        stall
+    }
+
+    /// Evicts `dead` from the pool, announced at `at` (one detection
+    /// timeout after the failure), and repairs the routing tables over the
+    /// survivors (the §III-E re-profiling used as failover). Fewer than two
+    /// survivors collapse the run to GPU-only synchronization. `soft` marks
+    /// an eviction for an exhausted retry budget.
+    fn evict(&mut self, dead: DeviceId, at: SimTime, soft: bool, how: &str) {
+        assert!(
+            self.mem_devices.contains(&dead),
+            "a worker dropped {how}: unsurvivable, the proxy tier is the only failover domain"
+        );
+        self.mem_devices.to_mut().retain(|&d| d != dead);
+        let rings = self.node_mem_rings.to_mut();
+        for ring in rings.iter_mut() {
+            ring.retain(|&d| d != dead);
+        }
+        rings.retain(|r| !r.is_empty());
+        if self.mem_devices.len() < 2 {
+            self.gpu_only = true;
+        } else {
+            self.tables = Cow::Owned(build_routing_tables(
+                &mut Prober::new(self.d.deployed.topology()),
+                &self.d.workers,
+                &self.mem_devices,
+                SimTime::ZERO,
+            ));
+        }
+        self.stats.evictions += 1;
+        self.stats.repairs += u64::from(soft);
+        self.stats.detection_time += self.detect();
+        self.stats.end = self.stats.end.max(at);
+        // Concurrent streams are simulated in program order, so a later
+        // eviction can carry an earlier instant; the control plane
+        // serializes views, so announced stamps never run backward.
+        self.stamp = self.stamp.max(at);
+        if self.response.restores() {
+            self.emit(OracleEvent::MembershipEpoch {
+                epoch: self.stats.evictions,
+                at: self.stamp,
+            });
+        }
+        self.note(at, || {
+            format!(
+                "evicted proxy {} {how} (epoch {})",
+                self.d.deployed.topology().device(dead).name(),
+                self.stats.evictions
+            )
+        });
+    }
+
+    /// Drives one transfer under the plan: a seal the receiver rejects is
+    /// resent after backoff (a fresh sequence number draws a fresh,
+    /// reproducible corruption decision), a severed route is waited out in
+    /// detection-timeout steps, and a dead endpoint or an exhausted budget
+    /// comes back as an eviction. `shard` labels the attempts for the
+    /// oracles.
+    fn transfer(&mut self, leg: Leg, at: SimTime, shard: Option<ShardStream>) -> LegOutcome {
+        let (mut t, mut rejects, mut waits) = (at, 0u32, 0u32);
+        loop {
+            if let Some(s) = &shard {
+                self.emit(OracleEvent::ShardAttempt {
+                    worker: s.worker,
+                    stream: s.stream,
+                    shard: s.shard,
+                    attempt: rejects + waits,
+                    at: t,
+                });
+            }
+            self.transfer_seq += 1;
+            match self
+                .engine
+                .transfer_masked(leg.src, leg.dst, leg.bytes, t, leg.mask)
+            {
+                Ok(rec) => {
+                    let retry = self
+                        .response
+                        .retries(FailureKind::CorruptStream, rejects, waits);
+                    // Failover stops checking once its budget is spent (the
+                    // link re-trains); the recovery engine evicts instead.
+                    let checked = leg.sealed && (retry || self.response.restores());
+                    if !checked
+                        || !self
+                            .plan
+                            .corrupts(leg.dst.index() as u32, rec.end, self.transfer_seq)
+                    {
+                        return LegOutcome::Done(rec.end);
+                    }
+                    self.emit(OracleEvent::FaultBite {
+                        kind: BiteKind::Corrupt,
+                        at: rec.end,
+                    });
+                    if !retry {
+                        return LegOutcome::Evict {
+                            device: leg.proxy,
+                            hard: false,
+                            at: rec.end,
+                        };
+                    }
+                    self.stats.retries += 1;
+                    let backoff = self.response.backoff(rejects, waits);
+                    self.stats.backoff_time += backoff;
+                    t = rec.end + backoff;
+                    rejects += 1;
+                }
+                Err(TransferError::DeviceDown { device }) => {
+                    return LegOutcome::Evict {
+                        device,
+                        hard: true,
+                        at: t,
+                    }
+                }
+                Err(TransferError::NoRoute { .. }) => {
+                    if !self
+                        .response
+                        .retries(FailureKind::RouteOutage, rejects, waits)
+                    {
+                        return LegOutcome::Evict {
+                            device: leg.proxy,
+                            hard: false,
+                            at: t,
+                        };
+                    }
+                    self.stats.backoff_time += self.detect();
+                    t += self.detect();
+                    waits += 1;
+                }
+            }
+        }
+    }
+
+    /// Streams worker `w`'s shards of one `size`-byte tensor to its routed
+    /// proxy (or back from it, when `pull`), one shard after another from
+    /// `t` under the plan. A proxy evicted mid-stream is replaced by the
+    /// repaired route and the stream restarts at shard 0. Returns the proxy
+    /// and the last delivery, or `None` when the round is abandoned: the
+    /// pool collapsed, or a proxy death awaits its restore.
+    fn stream(
+        &mut self,
+        w: usize,
+        size: ByteSize,
+        mut t: SimTime,
+        pull: bool,
+        stream: u64,
+    ) -> Option<(DeviceId, SimTime)> {
+        let worker = self.d.workers[w];
+        let mut proxy = self.tables[w].route_for(size);
+        let shards = Shards::new(size, self.tables[w].shard_size);
+        let mut i = 0;
+        while let Some(bytes) = shards.get(i) {
+            let (src, dst) = if pull {
+                (proxy, worker)
+            } else {
+                (worker, proxy)
+            };
+            let leg = Leg {
+                src,
+                dst,
+                proxy,
+                bytes,
+                mask: PCIE_ONLY,
+                sealed: true,
+            };
+            let label = ShardStream {
+                worker: w as u32,
+                stream,
+                shard: shard_label(i, shards.len(), self.d.sabotage),
+            };
+            match self.transfer(leg, t, Some(label)) {
+                LegOutcome::Done(end) => {
+                    t = end;
+                    i += 1;
+                }
+                LegOutcome::Evict { device, hard, at } => {
+                    // Failover restarts from where the stream stood; the
+                    // recovery engine dates a death from the failed attempt.
+                    let failed = if hard && !self.response.restores() {
+                        t
+                    } else {
+                        at
+                    };
+                    t = failed + self.detect();
+                    self.evict(device, t, !hard, if pull { "mid-pull" } else { "mid-push" });
+                    if hard && self.response.restores() {
+                        self.hard_failure = Some(failed);
+                        return None;
+                    }
+                    if self.gpu_only {
+                        return None;
+                    }
+                    proxy = self.tables[w].route_for(size);
+                    i = 0;
+                    self.emit(OracleEvent::StreamReset {
+                        worker: w as u32,
+                        stream,
+                        at: t,
+                    });
+                }
+            }
+        }
+        Some((proxy, t))
+    }
+
+    /// The proxy-tier allreduce over the surviving pool. Multi-node runs
+    /// reduce hierarchically while every node keeps the same number of
+    /// proxies; once an eviction leaves the node rings unequal, all
+    /// survivors join one flat ring across the nodes over the CCI-or-network
+    /// fabric, so no healthy proxy is dropped to even the rings out.
+    fn proxy_allreduce(
+        &mut self,
+        multi_node: bool,
+        payload: ByteSize,
+        ready_of: impl Fn(DeviceId) -> SimTime,
+        round: usize,
+    ) -> Result<CollectiveResult, CollectiveError> {
+        let rings = &self.node_mem_rings;
+        let even = rings.iter().all(|r| r.len() == rings[0].len());
+        if multi_node && even {
+            let ready: Vec<SimTime> = rings.iter().flatten().map(|&d| ready_of(d)).collect();
+            return hierarchical_allreduce(self.engine, rings, payload, &ready, CCI_OR_NETWORK);
+        }
+        let mask = if multi_node {
+            CCI_OR_NETWORK
+        } else {
+            self.d.proxy_mask
+        };
+        let ready: Vec<SimTime> = self.mem_devices.iter().map(|&d| ready_of(d)).collect();
+        ring_allreduce(
+            self.engine,
+            &self.mem_devices,
+            payload,
+            &ready,
+            RingDirection::for_group(round),
+            mask,
+        )
+    }
+
+    /// The GPU dual-sync collective of `bytes`, every worker ready at `at`.
+    /// On clusters the workers use the hierarchical decomposition
+    /// (intra-node NVLink, then network). Workers have no failover tier, but
+    /// a flapped worker-to-worker route is survivable: it is waited out in
+    /// detection-timeout steps, like the shard path.
+    fn gpu_allreduce(&mut self, multi_node: bool, bytes: ByteSize, at: SimTime) -> SimTime {
+        let d = self.d;
+        let (mut delay, mut waits) = (SimDuration::ZERO, 0u32);
+        loop {
+            let attempt = if multi_node {
+                let total: usize = d.node_gpu_rings.iter().map(Vec::len).sum();
+                hierarchical_allreduce(
+                    self.engine,
+                    &d.node_gpu_rings,
+                    bytes,
+                    &vec![at + delay; total],
+                    LinkMask::ALL,
+                )
+            } else {
+                ring_allreduce(
+                    self.engine,
+                    &d.gpu_ring,
+                    bytes,
+                    &vec![at + delay; d.gpu_ring.len()],
+                    RingDirection::Forward,
+                    LinkMask::ALL,
+                )
+            };
+            match attempt {
+                Ok(res) => return res.end,
+                Err(CollectiveError::Transfer(TransferError::NoRoute { .. })) => {
+                    assert!(
+                        waits < MAX_FLAP_WAITS,
+                        "worker collective never recovered from its flap"
+                    );
+                    waits += 1;
+                    self.stats.backoff_time += self.detect();
+                    delay += self.detect();
+                }
+                // simlint: allow(panic-in-library, reason = "losing a worker GPU is unsurvivable by design (S III-E covers the proxy tier only), and gpu rings are shape-validated at construction")
+                Err(e) => panic!("worker collective cannot continue: {e}"),
+            }
+        }
+    }
+
+    /// One pool checkpoint from `begin`: every surviving proxy sealed-pushes
+    /// its shard of the parameter image to its ring mirror (per
+    /// [`plan_pool_checkpoint`]), all legs in parallel, and the image
+    /// commits when the slowest leg lands. An exhausted budget evicts the
+    /// mirror and replans the image over the shrunken pool (a half-written
+    /// image is useless); a member death restores the previous image.
+    /// Returns the instant training resumes.
+    fn checkpoint(&mut self, begin: SimTime) -> SimTime {
+        let total = self.d.model.total_bytes();
+        let mut at = begin;
+        'replan: loop {
+            let legs = plan_pool_checkpoint(self.mem_devices.len(), total);
+            let mut end = at;
+            for leg in &legs.legs {
+                let (src, dst) = (self.mem_devices[leg.src], self.mem_devices[leg.mirror]);
+                let leg = Leg {
+                    src,
+                    dst,
+                    proxy: dst,
+                    bytes: leg.bytes,
+                    mask: self.d.proxy_mask,
+                    sealed: true,
+                };
+                match self.transfer(leg, at, None) {
+                    LegOutcome::Done(t) => end = end.max(t),
+                    LegOutcome::Evict {
+                        device,
+                        hard: false,
+                        at: t,
+                    } => {
+                        at = t + self.detect();
+                        self.evict(device, at, true, "failing its checkpoint leg");
+                        if self.gpu_only {
+                            return at;
+                        }
+                        continue 'replan;
+                    }
+                    LegOutcome::Evict {
+                        device,
+                        hard: true,
+                        at: t,
+                    } => {
+                        // The fresh image never committed: the restore rolls
+                        // back to the previous one.
+                        self.emit(OracleEvent::FaultBite {
+                            kind: BiteKind::Dropout,
+                            at: t,
+                        });
+                        self.evict(device, t + self.detect(), false, "mid-checkpoint");
+                        return self.restore(t + self.detect(), t);
+                    }
+                }
+            }
+            self.stats.end = self.stats.end.max(end);
+            self.stats.checkpoints += 1;
+            self.stats.checkpoint_bytes += total.as_u64();
+            self.stats.checkpoint_time += end.saturating_duration_since(begin);
+            self.last_ckpt = self.completed;
+            return end;
+        }
+    }
+
+    /// One restore episode from `begin`, for a failure observed at
+    /// `episode`: every surviving proxy coherently reads its shard of the
+    /// last committed image back from its ring mirror — the reverse of the
+    /// checkpoint legs, plain reads without a seal. A member lost
+    /// mid-restore is evicted and the reads replanned over the survivors
+    /// (the pool only shrinks, so this ends). Unless the pool collapsed, the
+    /// run rolls back to the last checkpoint. Returns the instant training
+    /// resumes.
+    fn restore(&mut self, begin: SimTime, episode: SimTime) -> SimTime {
+        let total = self.d.model.total_bytes();
+        let mut at = begin;
+        let end = 'replan: loop {
+            if self.gpu_only {
+                break at;
+            }
+            let legs = plan_pool_checkpoint(self.mem_devices.len(), total);
+            let mut end = at;
+            for leg in &legs.legs {
+                let (src, dst) = (self.mem_devices[leg.mirror], self.mem_devices[leg.src]);
+                let leg = Leg {
+                    src,
+                    dst,
+                    proxy: src,
+                    bytes: leg.bytes,
+                    mask: self.d.proxy_mask,
+                    sealed: false,
+                };
+                match self.transfer(leg, at, None) {
+                    LegOutcome::Done(t) => end = end.max(t),
+                    LegOutcome::Evict {
+                        device,
+                        hard,
+                        at: t,
+                    } => {
+                        if hard {
+                            self.emit(OracleEvent::FaultBite {
+                                kind: BiteKind::Dropout,
+                                at: t,
+                            });
+                        }
+                        at = t + self.detect();
+                        self.evict(device, at, !hard, "mid-restore");
+                        continue 'replan;
+                    }
+                }
+            }
+            break end;
+        };
+        self.stats.end = self.stats.end.max(end);
+        if !self.gpu_only {
+            self.stats.restores += 1;
+            self.stats.restore_bytes += total.as_u64();
+            self.stats.restore_time += end.saturating_duration_since(begin);
+            self.stats.mttr_total += end.saturating_duration_since(episode);
+            self.stats.lost_iterations += u64::from(self.completed - self.last_ckpt);
+            self.completed = self.last_ckpt;
+            self.note(end, || {
+                format!("restore: rolled back to iteration {}", self.completed)
+            });
+        }
+        end
+    }
+
+    /// The training loop (§III, mechanisms 1–4): each iteration streams the
+    /// proxy path's gradients to the routed proxies as the backward pass
+    /// emits them, runs the proxy collective per bucket, pulls the reduced
+    /// values back, and dual-syncs the shallow layers on the GPUs.
+    ///
+    /// The faults and their [`Response`] reshape it at four sites: a shard's
+    /// retry budget ([`transfer`](Self::transfer)), a proxy death mid-push,
+    /// mid-pull or before the collective (fail over in place, or restore
+    /// and roll back), a dropout found at a round start (the same), and the
+    /// pool checkpoints. Runs without faults move each tensor as one shard
+    /// train; runs with faults stream shard by shard so each shard meets
+    /// the plan. With `certify`, the loop stops at the first certified
+    /// steady state.
+    fn train(
+        mut self,
+        proxy_budget: ByteSize,
+        iterations: u32,
+        mut spans: Option<&mut Vec<PhaseSpan>>,
         certify: bool,
-    ) -> (SimDuration, Vec<crate::timeline::PhaseSpan>) {
-        let plan = &self.plan;
-        let model = self.model;
-        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
+    ) -> (SimDuration, RunStats) {
+        use crate::timeline::PhaseKind;
+        let d = self.d;
+        let (iter_plan, model) = (&d.plan, d.model);
+        let faulty = !self.plan.is_empty();
+        let (proxy_path, gpu_bytes) = d.proxy_split(proxy_budget);
 
         // The certificate's premise: iteration 0 starts on an idle fabric.
         debug_assert!(
-            engine.link_backlogs(SimTime::ZERO).all(|b| b.is_zero()),
+            self.engine
+                .link_backlogs(SimTime::ZERO)
+                .all(|b| b.is_zero()),
             "a run starts on an idle engine"
         );
-        let prof = self.profiler.clone();
-        let crit = self.critpath.clone();
+        debug_assert!(
+            !faulty || d.critpath.is_none(),
+            "the per-shard path registers no critical-path edges"
+        );
+        let prof = d.profiler.clone();
+        let crit = d.critpath.clone();
         let mut prev_sink: Option<NodeId> = None;
-        let tracer = self.tracer.as_ref().filter(|t| t.is_enabled()).cloned();
+        let tracer = d.tracer.as_ref().filter(|t| t.is_enabled()).cloned();
         let mut tracks = tracer.as_ref().map(|t| TrainTracks {
             iter: t.track("train: iteration"),
             compute: t.track("train: compute"),
@@ -282,20 +1025,56 @@ impl Deployment<'_> {
             pull: t.track("train: pull"),
             proxies: BTreeMap::new(),
         });
+        if let Some(t) = tracer.as_ref().filter(|_| faulty) {
+            // One instant per injected fault, on a dedicated track.
+            let track = t.track("faults: injected");
+            for ev in self.plan.events() {
+                t.instant(ev.at, category::FAULT, track, &ev.label);
+            }
+        }
         // Shards parked at each proxy since its last collective (the
         // analytic run never instantiates ParameterProxy objects, so the
         // queue-depth gauge is synthesized from shard arrivals here).
         let mut parked: BTreeMap<DeviceId, u64> = BTreeMap::new();
-        let multi_node = self.machine.nodes() > 1;
+        let multi_node = d.machine.nodes() > 1;
+        let detect = self.detect();
         let mut start = SimTime::ZERO;
-        let mut first_period_end = SimTime::ZERO;
-        let mut spans: Vec<crate::timeline::PhaseSpan> = Vec::new();
+        let mut first_period_end: Option<SimTime> = None;
         let mut steady = certify.then(SteadyState::new);
-        for k in 0..iterations {
-            use crate::timeline::{PhaseKind, PhaseSpan};
-            let tracing = trace_last && k + 1 == iterations;
-            let forward_end = start + plan.forward_time();
-            let backward_end = forward_end + plan.backward_time();
+        // Execution attempts (monotone): stream ids and iteration-end
+        // indices key off this, so a rollback never reuses either.
+        let mut executed: u64 = 0;
+        'outer: while self.completed < iterations {
+            let attempt = executed;
+            executed += 1;
+            if faulty {
+                // Round-start dropout detection: a device that died since the
+                // last iteration is noticed before the new round's pushes are
+                // routed, at the cost of one detection timeout each.
+                let detected: Vec<DeviceId> = self
+                    .mem_devices
+                    .iter()
+                    .copied()
+                    .filter(|&m| self.plan.device_down(m.index() as u32, start))
+                    .collect();
+                let episode = start;
+                for &dead in &detected {
+                    self.emit(OracleEvent::FaultBite {
+                        kind: BiteKind::Dropout,
+                        at: start,
+                    });
+                    start += detect;
+                    self.evict(dead, start, false, "lost between rounds");
+                }
+                if self.response.restores() && !detected.is_empty() {
+                    start = self.restore(start, episode);
+                    continue 'outer;
+                }
+            }
+
+            let tracing = spans.is_some() && self.completed + 1 == iterations;
+            let forward_end = start + iter_plan.forward_time();
+            let backward_end = forward_end + iter_plan.backward_time();
             let mut next_start = backward_end;
             // The iteration's forward+backward pass on the critical-path
             // graph; pushes and the GPU dual-sync hang off it.
@@ -303,7 +1082,7 @@ impl Deployment<'_> {
                 let deps: Vec<NodeId> = prev_sink.into_iter().collect();
                 cp.span_on(
                     crit_class::COMPUTE,
-                    format!("fwd+bwd iter {k}"),
+                    format!("fwd+bwd iter {attempt}"),
                     "compute",
                     start,
                     backward_end,
@@ -316,7 +1095,7 @@ impl Deployment<'_> {
                 // count them so compute shows up alongside the wire phases.
                 p.count(prof_region::TRAIN_COMPUTE, 2);
             }
-            if tracing {
+            if let Some(spans) = spans.as_deref_mut().filter(|_| tracing) {
                 spans.push(PhaseSpan::new(
                     PhaseKind::Forward,
                     start,
@@ -336,39 +1115,39 @@ impl Deployment<'_> {
                     forward_end,
                     category::TRAIN,
                     tt.compute,
-                    &format!("forward (iter {k})"),
+                    &format!("forward (iter {attempt})"),
                 );
                 t.span(
                     forward_end,
                     backward_end,
                     category::TRAIN,
                     tt.compute,
-                    &format!("backward (iter {k})"),
+                    &format!("backward (iter {attempt})"),
                 );
             }
             // Input pipeline: prefetch the next iteration's batch from host
             // memory to each worker, contending with parameter traffic on
             // the PCIe tree. It must land before the next forward starts.
-            if !self.input_bytes.is_zero() {
+            if !d.input_bytes.is_zero() {
                 let _prof_g = prof.as_ref().map(|p| {
-                    p.count(prof_region::TRAIN_PREFETCH, self.workers.len() as u64);
+                    p.count(prof_region::TRAIN_PREFETCH, d.workers.len() as u64);
                     p.enter(prof_region::TRAIN_PREFETCH)
                 });
-                for &worker in &self.workers {
-                    let cpu = self
-                        .deployed
-                        .topology()
-                        .host_cpu(self.deployed.topology().device(worker).node());
-                    let rec = engine
-                        .transfer_masked(cpu, worker, self.input_bytes, start, PCIE_ONLY)
+                let topo = d.deployed.topology();
+                for &worker in &d.workers {
+                    let cpu = topo.host_cpu(topo.device(worker).node());
+                    let rec = self
+                        .engine
+                        .transfer_masked(cpu, worker, d.input_bytes, start, PCIE_ONLY)
                         // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
                         .expect("host reaches its workers");
                     next_start = next_start.max(rec.end);
                     if let Some(cp) = &crit {
-                        if let (Some(n), Some(ps)) = (engine.last_crit_entry_node(), prev_sink) {
+                        if let (Some(n), Some(ps)) = (self.engine.last_crit_entry_node(), prev_sink)
+                        {
                             cp.add_dep(n, ps);
                         }
-                        sink_deps.extend(engine.last_crit_node());
+                        sink_deps.extend(self.engine.last_crit_node());
                     }
                 }
             }
@@ -376,21 +1155,20 @@ impl Deployment<'_> {
             // Fuse proxy-path gradients into emission-ordered buckets.
             let mut buckets: Vec<Vec<&coarse_models::training::GradientEvent>> = Vec::new();
             let mut bucket_bytes = ByteSize::ZERO;
-            for ev in plan.gradients() {
-                if !proxy_path[ev.tensor] {
+            for ev in iter_plan.gradients() {
+                if self.gpu_only || !proxy_path[ev.tensor] {
                     continue;
                 }
-                let size = model.tensors()[ev.tensor].byte_size();
                 if buckets.is_empty() || bucket_bytes >= BUCKET_TARGET {
                     buckets.push(Vec::new());
                     bucket_bytes = ByteSize::ZERO;
                 }
                 // simlint: allow(panic-in-library, reason = "the branch above pushed a bucket before this read")
                 buckets.last_mut().expect("just pushed").push(ev);
-                bucket_bytes += size;
+                bucket_bytes += model.tensors()[ev.tensor].byte_size();
             }
 
-            for (round, bucket) in buckets.iter().enumerate() {
+            'buckets: for (round, bucket) in buckets.iter().enumerate() {
                 // Push: each worker streams each tensor's shards to its
                 // routed proxy as the backward pass emits it. Track
                 // per-proxy arrival so the collective pipelines.
@@ -406,42 +1184,58 @@ impl Deployment<'_> {
                     total += size;
                     let emitted = forward_end + ev.ready;
                     latest_emit = latest_emit.max(emitted);
-                    for (w, &worker) in self.workers.iter().enumerate() {
-                        let table = &self.tables[w];
-                        let dest = table.route_for(size);
+                    for (w, &worker) in d.workers.iter().enumerate() {
                         if let Some(p) = &prof {
-                            let shards = Shards::new(size, table.shard_size).len();
+                            let shards = Shards::new(size, self.tables[w].shard_size).len();
                             p.count(prof_region::TRAIN_PUSH, shards as u64);
                         }
-                        let t = engine
-                            .transfer_sharded(
-                                worker,
-                                dest,
-                                size,
-                                table.shard_size,
-                                emitted,
-                                PCIE_ONLY,
-                            )
-                            // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
-                            .expect("worker reaches its proxy")
-                            .end;
-                        if let Some(cp) = &crit {
-                            // The first shard leaves when the backward pass
-                            // emits the gradient; the edge lands on the
-                            // transfer's *entry* node so a staged first leg
-                            // still routes back to compute.
-                            if let (Some(n), Some(c)) = (engine.last_crit_entry_node(), compute) {
-                                cp.add_dep(n, c);
-                            }
-                            // Shard deliveries are ordered, so the last
-                            // shard is the train's latest-finishing node.
-                            if let Some(n) = engine.last_crit_node() {
-                                let slot = arrivals.entry(dest).or_insert(n);
-                                if cp.node_end(n) >= cp.node_end(*slot) {
-                                    *slot = n;
+                        let (dest, t) = if faulty {
+                            let stream = stream_id(attempt, false, ev.tensor);
+                            let Some((dest, t)) = self.stream(w, size, emitted, false, stream)
+                            else {
+                                break 'buckets;
+                            };
+                            // A stalled proxy services the arrival late.
+                            let t = t + self.stall(dest, t);
+                            self.stats.end = self.stats.end.max(t);
+                            (dest, t)
+                        } else {
+                            let table = &self.tables[w];
+                            let dest = table.route_for(size);
+                            let t = self
+                                .engine
+                                .transfer_sharded(
+                                    worker,
+                                    dest,
+                                    size,
+                                    table.shard_size,
+                                    emitted,
+                                    PCIE_ONLY,
+                                )
+                                // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
+                                .expect("worker reaches its proxy")
+                                .end;
+                            if let Some(cp) = &crit {
+                                // The first shard leaves when the backward
+                                // pass emits the gradient; the edge lands on
+                                // the transfer's *entry* node so a staged
+                                // first leg still routes back to compute.
+                                if let (Some(n), Some(c)) =
+                                    (self.engine.last_crit_entry_node(), compute)
+                                {
+                                    cp.add_dep(n, c);
+                                }
+                                // Shard deliveries are ordered, so the last
+                                // shard is the train's latest-finishing node.
+                                if let Some(n) = self.engine.last_crit_node() {
+                                    let slot = arrivals.entry(dest).or_insert(n);
+                                    if cp.node_end(n) >= cp.node_end(*slot) {
+                                        *slot = n;
+                                    }
                                 }
                             }
-                        }
+                            (dest, t)
+                        };
                         let e = proxy_ready.entry(dest).or_insert(t);
                         *e = (*e).max(t);
                         if tracks.is_some() || prof.is_some() {
@@ -454,7 +1248,7 @@ impl Deployment<'_> {
                                 let track = *tt.proxies.entry(dest).or_insert_with(|| {
                                     tr.track(&format!(
                                         "proxy {} queue",
-                                        self.deployed.topology().device(dest).name()
+                                        d.deployed.topology().device(dest).name()
                                     ))
                                 });
                                 tr.counter(t, category::PROXY, track, "queue_depth", *depth as f64);
@@ -465,52 +1259,81 @@ impl Deployment<'_> {
                 drop(push_prof);
                 // Proxies with no local contribution are ready immediately.
                 let ready_of = |d: DeviceId| proxy_ready.get(&d).copied().unwrap_or(latest_emit);
+                let latest_ready = |pool: &[DeviceId]| {
+                    pool.iter()
+                        .map(|&d| ready_of(d))
+                        .max()
+                        .unwrap_or(latest_emit)
+                };
 
                 // Proxy collective over the CCI device fabric; alternate
-                // ring direction per bucket (Fig. 11b).
+                // ring direction per bucket (Fig. 11b). It can itself hit
+                // faults: a proxy whose dropout instant falls between its
+                // last serviced push and the ring step, or a flap severing
+                // the only allowed route, which is waited out (and, once the
+                // recovery engine's budget is spent, repaired by evicting
+                // the unreachable member).
                 let coll_prof = prof.as_ref().map(|p| {
                     p.count(prof_region::TRAIN_COLLECTIVE, 1);
                     p.enter(prof_region::TRAIN_COLLECTIVE)
                 });
                 if crit.is_some() {
                     let deps: Vec<NodeId> = arrivals.values().copied().collect();
-                    engine.stage_crit_deps(&deps);
+                    self.engine.stage_crit_deps(&deps);
                 }
-                let sync_end = if multi_node {
-                    let ready: Vec<SimTime> = self
-                        .node_mem_rings
-                        .iter()
-                        .flatten()
-                        .map(|&d| ready_of(d))
-                        .collect();
-                    hierarchical_allreduce(
-                        engine,
-                        &self.node_mem_rings,
-                        total,
-                        &ready,
-                        CCI_OR_NETWORK,
-                    )
-                    // simlint: allow(panic-in-library, reason = "the memory ring is built from the deployed connected topology")
-                    .expect("memory devices are connected")
-                    .end
-                } else {
-                    let ready: Vec<SimTime> =
-                        self.mem_devices.iter().map(|&d| ready_of(d)).collect();
-                    ring_allreduce(
-                        engine,
-                        &self.mem_devices,
-                        total,
-                        &ready,
-                        RingDirection::for_group(round),
-                        self.proxy_mask,
-                    )
-                    // simlint: allow(panic-in-library, reason = "the memory ring is built from the deployed connected topology")
-                    .expect("memory devices are connected")
-                    .end
+                let (mut delay, mut waits) = (SimDuration::ZERO, 0u32);
+                let sync_end = loop {
+                    match self.proxy_allreduce(multi_node, total, |d| ready_of(d) + delay, round) {
+                        Ok(res) => break res.end,
+                        Err(CollectiveError::Transfer(TransferError::DeviceDown { device })) => {
+                            let observed = latest_ready(&self.mem_devices) + delay;
+                            self.evict(
+                                device,
+                                observed + detect,
+                                false,
+                                "before the proxy collective",
+                            );
+                            if self.response.restores() {
+                                self.hard_failure = Some(observed);
+                                break 'buckets;
+                            }
+                            if self.gpu_only {
+                                break 'buckets;
+                            }
+                            delay += detect;
+                        }
+                        Err(CollectiveError::Transfer(TransferError::NoRoute { src, dst })) => {
+                            let retry = self.response.retries(FailureKind::RouteOutage, 0, waits);
+                            let victim = [dst, src]
+                                .into_iter()
+                                .find(|v| !retry && self.mem_devices.contains(v));
+                            if let Some(victim) = victim {
+                                let at = latest_ready(&self.mem_devices) + delay + detect;
+                                self.evict(victim, at, true, "unreachable");
+                                if self.gpu_only {
+                                    break 'buckets;
+                                }
+                                delay += detect;
+                                waits = 0;
+                            } else {
+                                assert!(
+                                    retry || waits < MAX_FLAP_WAITS,
+                                    "proxy collective never recovered from its flap"
+                                );
+                                waits += 1;
+                                self.stats.backoff_time += detect;
+                                delay += detect;
+                            }
+                        }
+                        Err(e) => {
+                            // simlint: allow(panic-in-library, reason = "proxy_allreduce falls back to a flat ring when eviction leaves node rings uneven; a shape error here is a bug, not a runtime condition")
+                            unreachable!("proxy collective shape violated: {e}")
+                        }
+                    }
                 };
                 drop(coll_prof);
                 let coll_node = if crit.is_some() {
-                    engine.last_crit_node()
+                    self.engine.last_crit_node()
                 } else {
                     None
                 };
@@ -519,46 +1342,58 @@ impl Deployment<'_> {
                 let mut pull_end = sync_end;
                 for ev in bucket {
                     let size = model.tensors()[ev.tensor].byte_size();
-                    for (w, &worker) in self.workers.iter().enumerate() {
-                        let table = &self.tables[w];
-                        let src = table.route_for(size);
+                    for (w, &worker) in d.workers.iter().enumerate() {
                         if let Some(p) = &prof {
-                            let shards = Shards::new(size, table.shard_size).len();
+                            let shards = Shards::new(size, self.tables[w].shard_size).len();
                             p.count(prof_region::TRAIN_PULL, shards as u64);
                         }
-                        let t = engine
-                            .transfer_sharded(
-                                src,
-                                worker,
-                                size,
-                                table.shard_size,
-                                sync_end,
-                                PCIE_ONLY,
-                            )
-                            // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
-                            .expect("proxy reaches its worker")
-                            .end;
-                        // The first shard leaves when the collective
-                        // publishes the reduced bucket; the edge lands on
-                        // the transfer's *entry* node so a staged first leg
-                        // still routes back to the collective.
-                        if let (Some(cp), Some(n), Some(c)) =
-                            (&crit, engine.last_crit_entry_node(), coll_node)
-                        {
-                            cp.add_dep(n, c);
-                        }
+                        let t = if faulty {
+                            let src = self.tables[w].route_for(size);
+                            let at = sync_end + self.stall(src, sync_end);
+                            let stream = stream_id(attempt, true, ev.tensor);
+                            let Some((_, t)) = self.stream(w, size, at, true, stream) else {
+                                break 'buckets;
+                            };
+                            self.stats.end = self.stats.end.max(t);
+                            t
+                        } else {
+                            let table = &self.tables[w];
+                            let t = self
+                                .engine
+                                .transfer_sharded(
+                                    table.route_for(size),
+                                    worker,
+                                    size,
+                                    table.shard_size,
+                                    sync_end,
+                                    PCIE_ONLY,
+                                )
+                                // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
+                                .expect("proxy reaches its worker")
+                                .end;
+                            // The first shard leaves when the collective
+                            // publishes the reduced bucket; the edge lands on
+                            // the transfer's *entry* node so a staged first
+                            // leg still routes back to the collective.
+                            if let (Some(cp), Some(n), Some(c)) =
+                                (&crit, self.engine.last_crit_entry_node(), coll_node)
+                            {
+                                cp.add_dep(n, c);
+                            }
+                            t
+                        };
                         pull_end = pull_end.max(t);
                         // The tensor must be back before the next forward
                         // pass reaches its layer.
-                        next_start = next_start.max(t - self.needed[ev.tensor]);
+                        next_start = next_start.max(t - d.needed[ev.tensor]);
                         if let Some(cp) = &crit {
-                            if let Some(n) = engine.last_crit_node() {
+                            if let Some(n) = self.engine.last_crit_node() {
                                 // The instant this tensor stops gating the
                                 // next iteration's forward pass.
                                 let gate = cp.instant(
                                     crit_class::SYNC,
                                     format!("pull ready t{} w{w}", ev.tensor),
-                                    t - self.needed[ev.tensor],
+                                    t - d.needed[ev.tensor],
                                     &[n],
                                 );
                                 sink_deps.push(gate);
@@ -578,7 +1413,7 @@ impl Deployment<'_> {
                     let push_end =
                         latest_emit.max(*proxy_ready.values().max().unwrap_or(&latest_emit));
                     let coll_start = ready_min.max(first_emit);
-                    if tracing {
+                    if let Some(spans) = spans.as_deref_mut().filter(|_| tracing) {
                         spans.push(PhaseSpan::new(
                             PhaseKind::Push,
                             first_emit,
@@ -637,64 +1472,56 @@ impl Deployment<'_> {
                 }
             }
 
-            // Dual sync: shallow layers reduced by the GPUs, blocking, at
-            // the end of the backward pass. On clusters the workers use the
-            // hierarchical decomposition (intra-node NVLink, then network).
+            if let Some(fail_at) = self.hard_failure.take() {
+                if !self.gpu_only {
+                    // The eviction is done (detection charged at the failure
+                    // site): restore the image and roll back.
+                    start = self.restore(fail_at + detect, fail_at);
+                    continue 'outer;
+                }
+                // The pool died with its last member: nothing to restore
+                // from. Finish this iteration GPU-only.
+            }
+
+            // Dual sync: shallow layers reduced by the GPUs, blocking, at the
+            // end of the backward pass. When the proxy tier is (or just
+            // became) lost, the GPUs re-synchronize the full parameter set.
+            let sync_bytes = if self.gpu_only {
+                model.total_bytes()
+            } else {
+                gpu_bytes
+            };
             let gpu_prof = prof.as_ref().map(|p| {
-                if !gpu_bytes.is_zero() {
+                if !sync_bytes.is_zero() {
                     p.count(prof_region::TRAIN_GPU_SYNC, 1);
                 }
                 p.enter(prof_region::TRAIN_GPU_SYNC)
             });
-            // The dual-sync collective starts when the backward pass ends.
-            let gpu_ring_runs = !gpu_bytes.is_zero() && (multi_node || self.gpu_ring.len() >= 2);
-            if gpu_ring_runs {
+            let gpu_ring_runs = !sync_bytes.is_zero() && (multi_node || d.gpu_ring.len() >= 2);
+            let gpu_sync_end = if gpu_ring_runs {
+                // The dual-sync collective starts when the backward pass ends.
                 if let Some(c) = compute {
-                    engine.stage_crit_deps(&[c]);
+                    self.engine.stage_crit_deps(&[c]);
                 }
-            }
-            let gpu_sync_end = if gpu_bytes.is_zero() {
-                backward_end
-            } else if multi_node {
-                let total: usize = self.node_gpu_rings.iter().map(Vec::len).sum();
-                hierarchical_allreduce(
-                    engine,
-                    &self.node_gpu_rings,
-                    gpu_bytes,
-                    &vec![backward_end; total],
-                    LinkMask::ALL,
-                )
-                // simlint: allow(panic-in-library, reason = "the worker ring is built from the deployed connected topology")
-                .expect("workers are connected")
-                .end
-            } else if self.gpu_ring.len() >= 2 {
-                ring_allreduce(
-                    engine,
-                    &self.gpu_ring,
-                    gpu_bytes,
-                    &vec![backward_end; self.gpu_ring.len()],
-                    RingDirection::Forward,
-                    LinkMask::ALL,
-                )
-                // simlint: allow(panic-in-library, reason = "the worker ring is built from the deployed connected topology")
-                .expect("workers are connected")
-                .end
+                self.gpu_allreduce(multi_node, sync_bytes, backward_end)
             } else {
                 backward_end
             };
             drop(gpu_prof);
             if crit.is_some() && gpu_ring_runs {
-                if let Some(n) = engine.last_crit_node() {
+                if let Some(n) = self.engine.last_crit_node() {
                     sink_deps.push(n);
                 }
             }
-            if tracing && gpu_sync_end > backward_end {
-                spans.push(PhaseSpan::new(
-                    PhaseKind::GpuSync,
-                    backward_end,
-                    gpu_sync_end,
-                    format!("GPU ring allreduce ({gpu_bytes})"),
-                ));
+            if let Some(spans) = spans.as_deref_mut().filter(|_| tracing) {
+                if gpu_sync_end > backward_end {
+                    spans.push(PhaseSpan::new(
+                        PhaseKind::GpuSync,
+                        backward_end,
+                        gpu_sync_end,
+                        format!("GPU ring allreduce ({sync_bytes})"),
+                    ));
+                }
             }
             if let (Some(t), Some(tt)) = (&tracer, &tracks) {
                 if gpu_sync_end > backward_end {
@@ -703,21 +1530,21 @@ impl Deployment<'_> {
                         gpu_sync_end,
                         category::TRAIN,
                         tt.compute,
-                        &format!("gpu sync (iter {k}, {gpu_bytes})"),
+                        &format!("gpu sync (iter {attempt}, {sync_bytes})"),
                     );
                 }
             }
             next_start = next_start.max(gpu_sync_end);
+            let blocked = (next_start - start)
+                .saturating_sub(iter_plan.forward_time() + iter_plan.backward_time());
             if let (Some(t), Some(tt)) = (&tracer, &tracks) {
                 t.span(
                     start,
                     next_start,
                     category::TRAIN,
                     tt.iter,
-                    &format!("iteration {k}"),
+                    &format!("iteration {attempt}"),
                 );
-                let blocked =
-                    (next_start - start).saturating_sub(plan.forward_time() + plan.backward_time());
                 t.counter(
                     next_start,
                     category::TRAIN,
@@ -726,13 +1553,17 @@ impl Deployment<'_> {
                     blocked.as_micros_f64(),
                 );
             }
-            if let Some(m) = &self.metrics {
-                let blocked =
-                    (next_start - start).saturating_sub(plan.forward_time() + plan.backward_time());
+            if let Some(m) = &d.metrics {
                 m.inc(metric::TRAIN_ITERATIONS, 1);
                 m.inc(metric::TRAIN_BLOCKED_NS, blocked.as_nanos());
-                m.observe(metric::TRAIN_FP_NS, plan.forward_time().as_nanos() as f64);
-                m.observe(metric::TRAIN_BP_NS, plan.backward_time().as_nanos() as f64);
+                m.observe(
+                    metric::TRAIN_FP_NS,
+                    iter_plan.forward_time().as_nanos() as f64,
+                );
+                m.observe(
+                    metric::TRAIN_BP_NS,
+                    iter_plan.backward_time().as_nanos() as f64,
+                );
                 m.observe(
                     metric::TRAIN_SYNC_NS,
                     next_start
@@ -740,1739 +1571,67 @@ impl Deployment<'_> {
                         .as_nanos() as f64,
                 );
             }
-
             if let Some(cp) = &crit {
                 let sink = cp.instant(
                     crit_class::SYNC,
-                    format!("iteration {k} boundary"),
+                    format!("iteration {attempt} boundary"),
                     next_start,
                     &sink_deps,
                 );
-                cp.mark_iteration(k as u64, sink);
+                cp.mark_iteration(attempt, sink);
                 prev_sink = Some(sink);
             }
-            if k == 0 {
-                first_period_end = next_start;
-            }
-            start = next_start;
-            let remaining = iterations - k - 1;
+            self.stats.end = self.stats.end.max(next_start);
+            self.emit(OracleEvent::IterationEnd {
+                index: attempt as u32,
+                at: next_start,
+            });
+            self.emit(OracleEvent::Progress { at: next_start });
+            self.completed += 1;
+            // B_1, the end of the first committed iteration, bounds every
+            // clean iteration from below.
+            let b1 = *first_period_end.get_or_insert(next_start) - SimTime::ZERO;
+            debug_assert!(
+                !self.clean || next_start - start >= b1,
+                "a clean iteration is no shorter than iteration 0"
+            );
+
+            // Pool checkpoint: sealed-push every shard to its mirror and
+            // wait for the slowest leg before the next iteration starts.
+            start = if self.response.checkpoint_due(self.completed, iterations) && !self.gpu_only {
+                self.checkpoint(next_start)
+            } else {
+                next_start
+            };
+            let remaining = iterations - self.completed;
             if let Some(end) = steady
                 .as_mut()
-                .and_then(|s| s.certified_end(engine, start, remaining))
+                .and_then(|s| s.certified_end(self.engine, start, remaining))
             {
                 start = end;
                 break;
             }
         }
-        let period = (start - first_period_end) / (iterations as u64 - 1).max(1);
+        let first_period_end = first_period_end.unwrap_or(SimTime::ZERO);
+        let period = (start - first_period_end) / (u64::from(iterations) - 1).max(1);
+        debug_assert!(
+            !self.clean || period >= first_period_end - SimTime::ZERO,
+            "a clean run's period is at least B_1"
+        );
         // Debug builds check every certifiable run against the full loop on
         // a fresh engine: the shortcut when it certified, and the reuse of
         // an engine returned to idle (the pilot grid's) either way.
         if cfg!(debug_assertions) && certify {
-            let full = self
-                .run_inner(&mut self.engine(), proxy_budget, iterations, false, false)
-                .0;
+            let full = d.period(&mut d.engine(), proxy_budget, iterations, None, true);
             assert_eq!(
                 period, full,
                 "a certifiable run matches the full loop on a fresh engine"
             );
         }
-        (period, spans)
-    }
-
-    /// Fault-injected run: like [`run_inner`](Self::run_inner) but every
-    /// transfer travels under `plan` (degraded links, flapped routes,
-    /// dropped devices, stalled proxies, transient corruption) and the
-    /// resilience machinery of `policy` reacts — retry with exponential
-    /// backoff on corrupted pushes, proxy failover with routing-table
-    /// repair on dropout, graceful degradation to GPU-only sync when the
-    /// proxy tier is lost. Callers must fast-path empty plans through
-    /// [`run`](Self::run); this method assumes `!plan.is_empty()`.
-    fn run_faulty(
-        &self,
-        proxy_budget: ByteSize,
-        iterations: u32,
-        plan: &FaultPlan,
-        policy: &ResiliencePolicy,
-    ) -> (SimDuration, FaultRunStats) {
-        assert!(!plan.is_empty(), "empty plans take the fast path");
-        let iter_plan = &self.plan;
-        let model = self.model;
-        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
-
-        // Fault runs deploy the CCI fabric as a *mesh* rather than a ring:
-        // the ring's wrap-around pair after a failover is not ring-adjacent,
-        // and memory devices cannot forward for each other (they are
-        // emulated by GPUs, §IV-B), so ring survivors would be unroutable.
-        // The real CCI switch reconnects any surviving pair; the mesh models
-        // that. Direct neighbor links carry the same bandwidth model as the
-        // ring's, so the healthy portion of a fault run times identically.
-        let mut fault_fabric = self.machine.clone();
-        if self.machine.topology().p2p_enabled() {
-            for ring in &self.node_mem_rings {
-                if ring.len() >= 2 {
-                    fault_fabric.augment_cci_mesh(ring);
-                }
-            }
-        }
-        let mut engine = TransferEngine::new(fault_fabric.topology().clone());
-        engine.set_fault_plan(plan.clone());
-        if let Some(m) = &self.metrics {
-            engine.set_metrics(m.clone());
-        }
-        if let Some(hub) = &self.oracles {
-            engine.set_oracles(hub.clone());
-        }
-        let emit = |ev: OracleEvent| {
-            if let Some(hub) = &self.oracles {
-                hub.emit(ev);
-            }
-        };
-        let tracer = self.tracer.as_ref().filter(|t| t.is_enabled()).cloned();
-        if let Some(t) = &tracer {
-            engine.set_tracer(t.clone());
-            // One instant per injected fault, on a dedicated track.
-            let track = t.track("faults: injected");
-            for ev in plan.events() {
-                t.instant(ev.at, category::FAULT, track, &ev.label);
-            }
-        }
-
-        // One instant per resilience action, on its own track.
-        let note_failover = |at: SimTime, dead: DeviceId, how: &str| {
-            if let Some(t) = &tracer {
-                let track = t.track("faults: resilience");
-                t.instant(
-                    at,
-                    category::FAULT,
-                    track,
-                    &format!(
-                        "failover: proxy {} {how}, tables repaired",
-                        self.deployed.topology().device(dead).name()
-                    ),
-                );
-            }
-        };
-
-        let mut state = FaultDeployState {
-            mem_devices: self.mem_devices.clone(),
-            node_mem_rings: self.node_mem_rings.clone(),
-            tables: self.tables.clone(),
-            gpu_only: false,
-        };
-        let mut stats = FaultRunStats::default();
-        let mut transfer_seq: u64 = 0;
-        let multi_node = self.machine.nodes() > 1;
-        let mut start = SimTime::ZERO;
-        let mut first_period_end = SimTime::ZERO;
-        // Latest simulated instant any work touched, including abandoned
-        // streams whose times never fed `next_start` — the RunEnd stamp the
-        // time-monotonicity oracle audits against.
-        let mut run_end = SimTime::ZERO;
-        // Shard streams are keyed per (iteration, direction, tensor) so a
-        // stream id never legitimately restarts at shard 0: the retry-FIFO
-        // oracle then needs resets only for genuine failover restarts.
-        let stream_id = |k: u32, pull: bool, tensor: usize| {
-            ((k as u64) << 33) | ((pull as u64) << 32) | tensor as u64
-        };
-        for k in 0..iterations {
-            // Round-start dropout detection: a device that died since the
-            // last iteration is noticed before the new round's pushes are
-            // routed, at the cost of one detection timeout each.
-            let detected: Vec<DeviceId> = state
-                .mem_devices
-                .iter()
-                .copied()
-                .filter(|&d| plan.device_down(d.index() as u32, start))
-                .collect();
-            for dead in detected {
-                emit(OracleEvent::FaultBite {
-                    kind: BiteKind::Dropout,
-                    at: start,
-                });
-                state.fail_over(
-                    self.deployed.topology(),
-                    &self.workers,
-                    dead,
-                    policy,
-                    &mut stats,
-                );
-                start += policy.detect_timeout;
-                note_failover(start, dead, "lost between rounds");
-            }
-
-            let forward_end = start + iter_plan.forward_time();
-            let backward_end = forward_end + iter_plan.backward_time();
-            let mut next_start = backward_end;
-            if !self.input_bytes.is_zero() {
-                for &worker in &self.workers {
-                    let cpu = self
-                        .deployed
-                        .topology()
-                        .host_cpu(self.deployed.topology().device(worker).node());
-                    let rec = engine
-                        .transfer_masked(cpu, worker, self.input_bytes, start, PCIE_ONLY)
-                        // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
-                        .expect("host reaches its workers");
-                    next_start = next_start.max(rec.end);
-                }
-            }
-
-            let mut buckets: Vec<Vec<&coarse_models::training::GradientEvent>> = Vec::new();
-            let mut bucket_bytes = ByteSize::ZERO;
-            if !state.gpu_only {
-                for ev in iter_plan.gradients() {
-                    if !proxy_path[ev.tensor] {
-                        continue;
-                    }
-                    let size = model.tensors()[ev.tensor].byte_size();
-                    if buckets.is_empty() || bucket_bytes >= BUCKET_TARGET {
-                        buckets.push(Vec::new());
-                        bucket_bytes = ByteSize::ZERO;
-                    }
-                    // simlint: allow(panic-in-library, reason = "the branch above pushed a bucket before this read")
-                    buckets.last_mut().expect("just pushed").push(ev);
-                    bucket_bytes += size;
-                }
-            }
-
-            'buckets: for (round, bucket) in buckets.iter().enumerate() {
-                let mut proxy_ready: BTreeMap<DeviceId, SimTime> = BTreeMap::new();
-                let mut latest_emit = forward_end;
-                let mut total = ByteSize::ZERO;
-                for ev in bucket {
-                    let size = model.tensors()[ev.tensor].byte_size();
-                    total += size;
-                    let emitted = forward_end + ev.ready;
-                    latest_emit = latest_emit.max(emitted);
-                    for (w, &worker) in self.workers.iter().enumerate() {
-                        let mut dest = state.tables[w].route_for(size);
-                        let shards = Shards::new(size, state.tables[w].shard_size);
-                        let stream = stream_id(k, false, ev.tensor);
-                        let mut t = emitted;
-                        let mut i = 0;
-                        while let Some(shard) = shards.get(i) {
-                            match resilient_shard_transfer(
-                                &mut engine,
-                                plan,
-                                policy,
-                                worker,
-                                dest,
-                                shard,
-                                t,
-                                &mut transfer_seq,
-                                &mut stats,
-                                &ShardStream {
-                                    hub: self.oracles.as_ref(),
-                                    worker: w as u32,
-                                    stream,
-                                    shard: shard_label(i, shards.len(), self.sabotage),
-                                },
-                            ) {
-                                Ok(end) => {
-                                    t = end;
-                                    i += 1;
-                                }
-                                Err(dead) => {
-                                    // The routed proxy died mid-push: fail
-                                    // over and restart this tensor's stream
-                                    // toward the repaired route.
-                                    state.fail_over(
-                                        self.deployed.topology(),
-                                        &self.workers,
-                                        dead,
-                                        policy,
-                                        &mut stats,
-                                    );
-                                    t += policy.detect_timeout;
-                                    note_failover(t, dead, "died mid-push");
-                                    run_end = run_end.max(t);
-                                    if state.gpu_only {
-                                        break 'buckets;
-                                    }
-                                    dest = state.tables[w].route_for(size);
-                                    i = 0;
-                                    emit(OracleEvent::StreamReset {
-                                        worker: w as u32,
-                                        stream,
-                                        at: t,
-                                    });
-                                }
-                            }
-                        }
-                        // A stalled proxy services the arrival late.
-                        let stall = plan.stall(dest.index() as u32, t);
-                        if stall > SimDuration::ZERO {
-                            emit(OracleEvent::FaultBite {
-                                kind: BiteKind::Stall,
-                                at: t,
-                            });
-                        }
-                        let t = t + stall;
-                        run_end = run_end.max(t);
-                        let e = proxy_ready.entry(dest).or_insert(t);
-                        *e = (*e).max(t);
-                    }
-                }
-                let ready_of = |d: DeviceId| proxy_ready.get(&d).copied().unwrap_or(latest_emit);
-
-                // The proxy-tier collective can itself hit faults: a proxy
-                // whose dropout instant falls between its last serviced push
-                // and the ring step, or a flap severing the only allowed
-                // route. A death is detected here (one detection timeout),
-                // failed over, and the collective retried over the
-                // survivors; a severed route waits out the outage in
-                // detection-timeout steps, like the shard path above.
-                let mut collective_delay = SimDuration::ZERO;
-                let mut flap_waits = 0u32;
-                let sync_end = loop {
-                    let attempt = state.proxy_allreduce(
-                        &mut engine,
-                        multi_node,
-                        total,
-                        |d| ready_of(d) + collective_delay,
-                        round,
-                        self.proxy_mask,
-                    );
-                    match attempt {
-                        Ok(res) => break res.end,
-                        Err(CollectiveError::Transfer(TransferError::DeviceDown { device })) => {
-                            let noticed = state
-                                .mem_devices
-                                .iter()
-                                .map(|&d| ready_of(d))
-                                .max()
-                                .unwrap_or(latest_emit)
-                                + collective_delay
-                                + policy.detect_timeout;
-                            state.fail_over(
-                                self.deployed.topology(),
-                                &self.workers,
-                                device,
-                                policy,
-                                &mut stats,
-                            );
-                            collective_delay += policy.detect_timeout;
-                            note_failover(noticed, device, "died before the proxy collective");
-                            run_end = run_end.max(noticed);
-                            if state.gpu_only {
-                                break 'buckets;
-                            }
-                        }
-                        Err(CollectiveError::Transfer(TransferError::NoRoute { .. })) => {
-                            assert!(
-                                flap_waits < MAX_FLAP_WAITS,
-                                "proxy collective never recovered from its flap"
-                            );
-                            flap_waits += 1;
-                            stats.recovery += policy.detect_timeout;
-                            collective_delay += policy.detect_timeout;
-                        }
-                        Err(e) => {
-                            // simlint: allow(panic-in-library, reason = "proxy_allreduce falls back to a flat ring when fail_over leaves node rings uneven; a shape error here is a bug, not a runtime condition")
-                            unreachable!("proxy collective shape violated: {e}")
-                        }
-                    }
-                };
-
-                for ev in bucket {
-                    let size = model.tensors()[ev.tensor].byte_size();
-                    for (w, &worker) in self.workers.iter().enumerate() {
-                        let mut src = state.tables[w].route_for(size);
-                        let shards = Shards::new(size, state.tables[w].shard_size);
-                        let stream = stream_id(k, true, ev.tensor);
-                        let stall = plan.stall(src.index() as u32, sync_end);
-                        if stall > SimDuration::ZERO {
-                            emit(OracleEvent::FaultBite {
-                                kind: BiteKind::Stall,
-                                at: sync_end,
-                            });
-                        }
-                        let mut t = sync_end + stall;
-                        let mut i = 0;
-                        while let Some(shard) = shards.get(i) {
-                            match resilient_shard_transfer(
-                                &mut engine,
-                                plan,
-                                policy,
-                                src,
-                                worker,
-                                shard,
-                                t,
-                                &mut transfer_seq,
-                                &mut stats,
-                                &ShardStream {
-                                    hub: self.oracles.as_ref(),
-                                    worker: w as u32,
-                                    stream,
-                                    shard: shard_label(i, shards.len(), self.sabotage),
-                                },
-                            ) {
-                                Ok(end) => {
-                                    t = end;
-                                    i += 1;
-                                }
-                                Err(dead) => {
-                                    state.fail_over(
-                                        self.deployed.topology(),
-                                        &self.workers,
-                                        dead,
-                                        policy,
-                                        &mut stats,
-                                    );
-                                    t += policy.detect_timeout;
-                                    note_failover(t, dead, "died mid-pull");
-                                    run_end = run_end.max(t);
-                                    if state.gpu_only {
-                                        break 'buckets;
-                                    }
-                                    src = state.tables[w].route_for(size);
-                                    i = 0;
-                                    emit(OracleEvent::StreamReset {
-                                        worker: w as u32,
-                                        stream,
-                                        at: t,
-                                    });
-                                }
-                            }
-                        }
-                        run_end = run_end.max(t);
-                        next_start = next_start.max(t - self.needed[ev.tensor]);
-                    }
-                }
-            }
-
-            // Dual sync; when the proxy tier is (or just became) lost, the
-            // GPUs re-synchronize the full parameter set this iteration.
-            let sync_bytes = if state.gpu_only {
-                model.total_bytes()
-            } else {
-                gpu_bytes
-            };
-            // Workers have no failover path (losing one ends training, not
-            // a proxy tier), but a flapped worker-to-worker route is
-            // survivable: wait out the outage in detection-timeout steps,
-            // exactly like the shard path.
-            let gpu_sync_end = if sync_bytes.is_zero() {
-                backward_end
-            } else if multi_node || self.gpu_ring.len() >= 2 {
-                let mut delay = SimDuration::ZERO;
-                let mut flap_waits = 0u32;
-                loop {
-                    let attempt = if multi_node {
-                        let total: usize = self.node_gpu_rings.iter().map(Vec::len).sum();
-                        hierarchical_allreduce(
-                            &mut engine,
-                            &self.node_gpu_rings,
-                            sync_bytes,
-                            &vec![backward_end + delay; total],
-                            LinkMask::ALL,
-                        )
-                    } else {
-                        ring_allreduce(
-                            &mut engine,
-                            &self.gpu_ring,
-                            sync_bytes,
-                            &vec![backward_end + delay; self.gpu_ring.len()],
-                            RingDirection::Forward,
-                            LinkMask::ALL,
-                        )
-                    };
-                    match attempt {
-                        Ok(res) => break res.end,
-                        Err(CollectiveError::Transfer(TransferError::NoRoute { .. })) => {
-                            assert!(
-                                flap_waits < MAX_FLAP_WAITS,
-                                "worker collective never recovered from its flap"
-                            );
-                            flap_waits += 1;
-                            stats.recovery += policy.detect_timeout;
-                            delay += policy.detect_timeout;
-                        }
-                        Err(e) => {
-                            // Worker loss (or a shape violation, which the
-                            // builder rules out) ends training: workers have
-                            // no failover tier to absorb them.
-                            // simlint: allow(panic-in-library, reason = "losing a worker GPU is unsurvivable by design (S III-E covers the proxy tier only), and gpu rings are shape-validated at construction")
-                            panic!("worker collective cannot continue: {e}")
-                        }
-                    }
-                }
-            } else {
-                backward_end
-            };
-            next_start = next_start.max(gpu_sync_end);
-            run_end = run_end.max(next_start);
-            emit(OracleEvent::IterationEnd {
-                index: k,
-                at: next_start,
-            });
-            emit(OracleEvent::Progress { at: next_start });
-
-            if k == 0 {
-                first_period_end = next_start;
-            }
-            start = next_start;
-        }
-        stats.degraded_to_gpu = state.gpu_only;
-        stats.end = run_end.max(start);
-        (
-            (start - first_period_end) / (iterations as u64 - 1).max(1),
-            stats,
-        )
-    }
-
-    /// The recovery-engine run: like [`run_faulty`](Self::run_faulty) but
-    /// driven by a [`RecoveryPolicy`] — the full detect → decide → recover
-    /// → account protocol:
-    ///
-    /// - **checkpoints are traffic** — every `checkpoint_interval`
-    ///   committed iterations each proxy sealed-pushes its parameter shard
-    ///   to its ring mirror over the proxy fabric, and training waits for
-    ///   the slowest leg;
-    /// - **transient failures repair** — corruption and route-outage
-    ///   budgets escalate to elastic membership eviction (epoch-stamped,
-    ///   routing rebuilt over survivors) instead of spinning;
-    /// - **hard failures restore** — a dropped proxy rolls the run back to
-    ///   the last committed checkpoint: survivors coherently read the image
-    ///   back from their mirrors, the lost iterations are re-executed, and
-    ///   the episode (detection + repair + restore reads) is the MTTR.
-    ///
-    /// Unlike `run_faulty` this handles empty plans: with
-    /// `checkpoint_interval = 0` the run times identically to
-    /// [`run`](Self::run), making checkpoint overhead and fault damage
-    /// separately measurable. Returns the steady-state period plus the full
-    /// recovery accounting (wall time included).
-    fn run_recovering(
-        &self,
-        proxy_budget: ByteSize,
-        iterations: u32,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-    ) -> (SimDuration, RecoveryRunStats) {
-        let res = &policy.resilience;
-        let iter_plan = &self.plan;
-        let model = self.model;
-        let (proxy_path, gpu_bytes) = self.proxy_split(proxy_budget);
-
-        // Same mesh deployment as `run_faulty`: survivors of an eviction
-        // must stay pairwise routable. Healthy-path timing is identical.
-        let mut fault_fabric = self.machine.clone();
-        if self.machine.topology().p2p_enabled() {
-            for ring in &self.node_mem_rings {
-                if ring.len() >= 2 {
-                    fault_fabric.augment_cci_mesh(ring);
-                }
-            }
-        }
-        let mut engine = TransferEngine::new(fault_fabric.topology().clone());
-        if !plan.is_empty() {
-            engine.set_fault_plan(plan.clone());
-        }
-        if let Some(m) = &self.metrics {
-            engine.set_metrics(m.clone());
-        }
-        if let Some(hub) = &self.oracles {
-            engine.set_oracles(hub.clone());
-        }
-        let emit = |ev: OracleEvent| {
-            if let Some(hub) = &self.oracles {
-                hub.emit(ev);
-            }
-        };
-        let tracer = self.tracer.as_ref().filter(|t| t.is_enabled()).cloned();
-        if let Some(t) = &tracer {
-            engine.set_tracer(t.clone());
-            let track = t.track("faults: injected");
-            for ev in plan.events() {
-                t.instant(ev.at, category::FAULT, track, &ev.label);
-            }
-        }
-        let note_recovery = |at: SimTime, what: &str| {
-            if let Some(t) = &tracer {
-                let track = t.track("recovery: engine");
-                t.instant(at, category::FAULT, track, what);
-            }
-        };
-
-        let mut state = FaultDeployState {
-            mem_devices: self.mem_devices.clone(),
-            node_mem_rings: self.node_mem_rings.clone(),
-            tables: self.tables.clone(),
-            gpu_only: false,
-        };
-        let mut stats = RecoveryRunStats::default();
-        let mut membership = Membership::default();
-        let mut transfer_seq: u64 = 0;
-        let multi_node = self.machine.nodes() > 1;
-        let total_bytes = model.total_bytes();
-        let topo = self.deployed.topology();
-        let io = PoolIo {
-            topo,
-            workers: &self.workers,
-            proxy_mask: self.proxy_mask,
-            total: total_bytes,
-            plan,
-            policy,
-        };
-        let mut start = SimTime::ZERO;
-        let mut first_period_end = SimTime::ZERO;
-        let mut committed_any = false;
-        let mut run_end = SimTime::ZERO;
-        // Committed iterations: rolled back on restore, so re-executed work
-        // is visible as wall-clock without double-counting progress.
-        let mut completed: u32 = 0;
-        // The committed-iteration index of the last durable pool
-        // checkpoint; iteration 0's initial parameter distribution counts
-        // as checkpoint 0.
-        let mut last_ckpt: u32 = 0;
-        // Execution attempts (monotone): stream ids and iteration-end
-        // indices key off this so a rollback never reuses either.
-        let mut executed: u64 = 0;
-        let stream_id =
-            |e: u64, pull: bool, tensor: usize| (e << 33) | ((pull as u64) << 32) | tensor as u64;
-        'outer: while completed < iterations {
-            // Fresh attempt number per execution attempt: an attempt aborted
-            // by a hard failure must not reuse its stream ids, or the
-            // retry-fifo oracle would see the re-execution as an out-of-order
-            // shard replay.
-            let attempt = executed;
-            executed += 1;
-            // Round-start detection, as in `run_faulty` — but a detected
-            // dropout now triggers a restore episode, not just repair.
-            let detected: Vec<DeviceId> = state
-                .mem_devices
-                .iter()
-                .copied()
-                .filter(|&d| plan.device_down(d.index() as u32, start))
-                .collect();
-            if !detected.is_empty() {
-                let episode_start = start;
-                for dead in detected {
-                    emit(OracleEvent::FaultBite {
-                        kind: BiteKind::Dropout,
-                        at: start,
-                    });
-                    state.evict(topo, &self.workers, dead);
-                    start += res.detect_timeout;
-                    stats.detection_time += res.detect_timeout;
-                    membership.bump(start, self.oracles.as_ref());
-                    note_recovery(
-                        start,
-                        &format!(
-                            "repair: proxy {} lost between rounds (epoch {})",
-                            topo.device(dead).name(),
-                            membership.epoch
-                        ),
-                    );
-                }
-                run_end = run_end.max(start);
-                if !state.gpu_only {
-                    let restore_begin = start;
-                    let end = pool_restore(
-                        &mut engine,
-                        &mut state,
-                        &io,
-                        restore_begin,
-                        &mut membership,
-                        &mut stats,
-                        self.oracles.as_ref(),
-                        &mut transfer_seq,
-                    );
-                    run_end = run_end.max(end);
-                    if !state.gpu_only {
-                        stats.restores += 1;
-                        stats.restore_bytes += total_bytes.as_u64();
-                        stats.restore_time += end.saturating_duration_since(restore_begin);
-                        stats.mttr_total += end.saturating_duration_since(episode_start);
-                        stats.lost_iterations += u64::from(completed - last_ckpt);
-                        completed = last_ckpt;
-                        note_recovery(
-                            end,
-                            &format!("restore: rolled back to iteration {completed}"),
-                        );
-                    }
-                    start = end;
-                }
-                continue 'outer;
-            }
-
-            let forward_end = start + iter_plan.forward_time();
-            let backward_end = forward_end + iter_plan.backward_time();
-            let mut next_start = backward_end;
-            if !self.input_bytes.is_zero() {
-                for &worker in &self.workers {
-                    let cpu = topo.host_cpu(topo.device(worker).node());
-                    let rec = engine
-                        .transfer_masked(cpu, worker, self.input_bytes, start, PCIE_ONLY)
-                        // simlint: allow(panic-in-library, reason = "deployment validation guarantees host-worker-proxy connectivity")
-                        .expect("host reaches its workers");
-                    next_start = next_start.max(rec.end);
-                }
-            }
-
-            let mut buckets: Vec<Vec<&coarse_models::training::GradientEvent>> = Vec::new();
-            let mut bucket_bytes = ByteSize::ZERO;
-            if !state.gpu_only {
-                for ev in iter_plan.gradients() {
-                    if !proxy_path[ev.tensor] {
-                        continue;
-                    }
-                    let size = model.tensors()[ev.tensor].byte_size();
-                    if buckets.is_empty() || bucket_bytes >= BUCKET_TARGET {
-                        buckets.push(Vec::new());
-                        bucket_bytes = ByteSize::ZERO;
-                    }
-                    // simlint: allow(panic-in-library, reason = "the branch above pushed a bucket before this read")
-                    buckets.last_mut().expect("just pushed").push(ev);
-                    bucket_bytes += size;
-                }
-            }
-
-            // A hard failure (dropped proxy) observed mid-iteration: the
-            // iteration is abandoned and a restore episode runs below.
-            let mut hard_failure: Option<SimTime> = None;
-
-            'buckets: for (round, bucket) in buckets.iter().enumerate() {
-                let mut proxy_ready: BTreeMap<DeviceId, SimTime> = BTreeMap::new();
-                let mut latest_emit = forward_end;
-                let mut total = ByteSize::ZERO;
-                for ev in bucket {
-                    let size = model.tensors()[ev.tensor].byte_size();
-                    total += size;
-                    let emitted = forward_end + ev.ready;
-                    latest_emit = latest_emit.max(emitted);
-                    for (w, &worker) in self.workers.iter().enumerate() {
-                        let mut dest = state.tables[w].route_for(size);
-                        let shards = Shards::new(size, state.tables[w].shard_size);
-                        let stream = stream_id(attempt, false, ev.tensor);
-                        let mut t = emitted;
-                        let mut i = 0;
-                        while let Some(shard) = shards.get(i) {
-                            match recovering_shard_transfer(
-                                &mut engine,
-                                plan,
-                                policy,
-                                worker,
-                                dest,
-                                dest,
-                                shard,
-                                t,
-                                &mut transfer_seq,
-                                &mut stats,
-                                &ShardStream {
-                                    hub: self.oracles.as_ref(),
-                                    worker: w as u32,
-                                    stream,
-                                    shard: shard_label(i, shards.len(), self.sabotage),
-                                },
-                            ) {
-                                ShardOutcome::Done(end) => {
-                                    t = end;
-                                    i += 1;
-                                }
-                                ShardOutcome::Evict { device, hard, at } => {
-                                    if !state.mem_devices.contains(&device) {
-                                        // simlint: allow(panic-in-library, reason = "losing a worker GPU is unsurvivable by design (S III-E covers the proxy tier only)")
-                                        panic!("non-proxy device dropped mid-push: unsurvivable");
-                                    }
-                                    let t2 = at + res.detect_timeout;
-                                    stats.detection_time += res.detect_timeout;
-                                    state.evict(topo, &self.workers, device);
-                                    membership.bump(t2, self.oracles.as_ref());
-                                    run_end = run_end.max(t2);
-                                    note_recovery(
-                                        t2,
-                                        &format!(
-                                            "{}: proxy {} evicted mid-push (epoch {})",
-                                            if hard { "restore" } else { "repair" },
-                                            topo.device(device).name(),
-                                            membership.epoch
-                                        ),
-                                    );
-                                    if hard {
-                                        hard_failure = Some(at);
-                                        break 'buckets;
-                                    }
-                                    stats.repairs += 1;
-                                    if state.gpu_only {
-                                        break 'buckets;
-                                    }
-                                    dest = state.tables[w].route_for(size);
-                                    t = t2;
-                                    i = 0;
-                                    emit(OracleEvent::StreamReset {
-                                        worker: w as u32,
-                                        stream,
-                                        at: t,
-                                    });
-                                }
-                            }
-                        }
-                        let stall = plan.stall(dest.index() as u32, t);
-                        if stall > SimDuration::ZERO {
-                            emit(OracleEvent::FaultBite {
-                                kind: BiteKind::Stall,
-                                at: t,
-                            });
-                        }
-                        let t = t + stall;
-                        run_end = run_end.max(t);
-                        let e = proxy_ready.entry(dest).or_insert(t);
-                        *e = (*e).max(t);
-                    }
-                }
-                let ready_of = |d: DeviceId| proxy_ready.get(&d).copied().unwrap_or(latest_emit);
-
-                // Proxy collective: a death here is a hard failure (restore
-                // episode); a severed route is waited out within budget and
-                // then repaired by evicting the unreachable member.
-                let mut collective_delay = SimDuration::ZERO;
-                let mut route_waits = 0u32;
-                let sync_end = loop {
-                    let attempt = state.proxy_allreduce(
-                        &mut engine,
-                        multi_node,
-                        total,
-                        |d| ready_of(d) + collective_delay,
-                        round,
-                        self.proxy_mask,
-                    );
-                    match attempt {
-                        Ok(res_ok) => break res_ok.end,
-                        Err(CollectiveError::Transfer(TransferError::DeviceDown { device })) => {
-                            let observed = state
-                                .mem_devices
-                                .iter()
-                                .map(|&d| ready_of(d))
-                                .max()
-                                .unwrap_or(latest_emit)
-                                + collective_delay;
-                            let t2 = observed + res.detect_timeout;
-                            stats.detection_time += res.detect_timeout;
-                            state.evict(topo, &self.workers, device);
-                            membership.bump(t2, self.oracles.as_ref());
-                            run_end = run_end.max(t2);
-                            note_recovery(
-                                t2,
-                                &format!(
-                                    "restore: proxy {} died before the collective (epoch {})",
-                                    topo.device(device).name(),
-                                    membership.epoch
-                                ),
-                            );
-                            hard_failure = Some(observed);
-                            break 'buckets;
-                        }
-                        Err(CollectiveError::Transfer(TransferError::NoRoute { src, dst })) => {
-                            match policy.action_for(FailureKind::RouteOutage, route_waits) {
-                                RecoveryAction::Retry => {
-                                    route_waits += 1;
-                                    stats.backoff_time += res.detect_timeout;
-                                    collective_delay += res.detect_timeout;
-                                }
-                                _ => {
-                                    // Budget exhausted: evict whichever
-                                    // endpoint of the severed route is a
-                                    // pool member and retry over survivors.
-                                    let victim = if state.mem_devices.contains(&dst) {
-                                        Some(dst)
-                                    } else if state.mem_devices.contains(&src) {
-                                        Some(src)
-                                    } else {
-                                        None
-                                    };
-                                    match victim {
-                                        Some(v) => {
-                                            let t2 = state
-                                                .mem_devices
-                                                .iter()
-                                                .map(|&d| ready_of(d))
-                                                .max()
-                                                .unwrap_or(latest_emit)
-                                                + collective_delay
-                                                + res.detect_timeout;
-                                            stats.detection_time += res.detect_timeout;
-                                            state.evict(topo, &self.workers, v);
-                                            membership.bump(t2, self.oracles.as_ref());
-                                            stats.repairs += 1;
-                                            run_end = run_end.max(t2);
-                                            note_recovery(
-                                                t2,
-                                                &format!(
-                                                    "repair: proxy {} unreachable, evicted (epoch {})",
-                                                    topo.device(v).name(),
-                                                    membership.epoch
-                                                ),
-                                            );
-                                            if state.gpu_only {
-                                                break 'buckets;
-                                            }
-                                            collective_delay += res.detect_timeout;
-                                            route_waits = 0;
-                                        }
-                                        None => {
-                                            assert!(
-                                                route_waits < MAX_FLAP_WAITS,
-                                                "proxy collective never recovered from its flap"
-                                            );
-                                            route_waits += 1;
-                                            stats.backoff_time += res.detect_timeout;
-                                            collective_delay += res.detect_timeout;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // simlint: allow(panic-in-library, reason = "proxy_allreduce falls back to a flat ring when evict leaves node rings uneven; a shape error here is a bug, not a runtime condition")
-                            unreachable!("proxy collective shape violated: {e}")
-                        }
-                    }
-                };
-
-                for ev in bucket {
-                    let size = model.tensors()[ev.tensor].byte_size();
-                    for (w, &worker) in self.workers.iter().enumerate() {
-                        let mut src = state.tables[w].route_for(size);
-                        let shards = Shards::new(size, state.tables[w].shard_size);
-                        let stream = stream_id(attempt, true, ev.tensor);
-                        let stall = plan.stall(src.index() as u32, sync_end);
-                        if stall > SimDuration::ZERO {
-                            emit(OracleEvent::FaultBite {
-                                kind: BiteKind::Stall,
-                                at: sync_end,
-                            });
-                        }
-                        let mut t = sync_end + stall;
-                        let mut i = 0;
-                        while let Some(shard) = shards.get(i) {
-                            match recovering_shard_transfer(
-                                &mut engine,
-                                plan,
-                                policy,
-                                src,
-                                worker,
-                                src,
-                                shard,
-                                t,
-                                &mut transfer_seq,
-                                &mut stats,
-                                &ShardStream {
-                                    hub: self.oracles.as_ref(),
-                                    worker: w as u32,
-                                    stream,
-                                    shard: shard_label(i, shards.len(), self.sabotage),
-                                },
-                            ) {
-                                ShardOutcome::Done(end) => {
-                                    t = end;
-                                    i += 1;
-                                }
-                                ShardOutcome::Evict { device, hard, at } => {
-                                    if !state.mem_devices.contains(&device) {
-                                        // simlint: allow(panic-in-library, reason = "losing a worker GPU is unsurvivable by design (S III-E covers the proxy tier only)")
-                                        panic!("non-proxy device dropped mid-pull: unsurvivable");
-                                    }
-                                    let t2 = at + res.detect_timeout;
-                                    stats.detection_time += res.detect_timeout;
-                                    state.evict(topo, &self.workers, device);
-                                    membership.bump(t2, self.oracles.as_ref());
-                                    run_end = run_end.max(t2);
-                                    note_recovery(
-                                        t2,
-                                        &format!(
-                                            "{}: proxy {} evicted mid-pull (epoch {})",
-                                            if hard { "restore" } else { "repair" },
-                                            topo.device(device).name(),
-                                            membership.epoch
-                                        ),
-                                    );
-                                    if hard {
-                                        hard_failure = Some(at);
-                                        break 'buckets;
-                                    }
-                                    stats.repairs += 1;
-                                    if state.gpu_only {
-                                        break 'buckets;
-                                    }
-                                    src = state.tables[w].route_for(size);
-                                    t = t2;
-                                    i = 0;
-                                    emit(OracleEvent::StreamReset {
-                                        worker: w as u32,
-                                        stream,
-                                        at: t,
-                                    });
-                                }
-                            }
-                        }
-                        run_end = run_end.max(t);
-                        next_start = next_start.max(t - self.needed[ev.tensor]);
-                    }
-                }
-            }
-
-            if let Some(fail_at) = hard_failure {
-                if !state.gpu_only {
-                    // The eviction is already done (detection charged at
-                    // the failure site); restore the image and roll back.
-                    let restore_begin = fail_at + res.detect_timeout;
-                    let end = pool_restore(
-                        &mut engine,
-                        &mut state,
-                        &io,
-                        restore_begin,
-                        &mut membership,
-                        &mut stats,
-                        self.oracles.as_ref(),
-                        &mut transfer_seq,
-                    );
-                    run_end = run_end.max(end);
-                    if !state.gpu_only {
-                        stats.restores += 1;
-                        stats.restore_bytes += total_bytes.as_u64();
-                        stats.restore_time += end.saturating_duration_since(restore_begin);
-                        stats.mttr_total += end.saturating_duration_since(fail_at);
-                        stats.lost_iterations += u64::from(completed - last_ckpt);
-                        completed = last_ckpt;
-                        note_recovery(
-                            end,
-                            &format!("restore: rolled back to iteration {completed}"),
-                        );
-                        start = end;
-                        continue 'outer;
-                    }
-                    start = end;
-                    continue 'outer;
-                }
-                // The pool died with its last member: nothing to restore
-                // from. Fall through and finish this iteration GPU-only.
-            }
-
-            let sync_bytes = if state.gpu_only {
-                model.total_bytes()
-            } else {
-                gpu_bytes
-            };
-            let gpu_sync_end = if sync_bytes.is_zero() {
-                backward_end
-            } else if multi_node || self.gpu_ring.len() >= 2 {
-                let mut delay = SimDuration::ZERO;
-                let mut flap_waits = 0u32;
-                loop {
-                    let attempt = if multi_node {
-                        let total: usize = self.node_gpu_rings.iter().map(Vec::len).sum();
-                        hierarchical_allreduce(
-                            &mut engine,
-                            &self.node_gpu_rings,
-                            sync_bytes,
-                            &vec![backward_end + delay; total],
-                            LinkMask::ALL,
-                        )
-                    } else {
-                        ring_allreduce(
-                            &mut engine,
-                            &self.gpu_ring,
-                            sync_bytes,
-                            &vec![backward_end + delay; self.gpu_ring.len()],
-                            RingDirection::Forward,
-                            LinkMask::ALL,
-                        )
-                    };
-                    match attempt {
-                        Ok(res_ok) => break res_ok.end,
-                        Err(CollectiveError::Transfer(TransferError::NoRoute { .. })) => {
-                            // Workers have no failover tier: wait the flap
-                            // out (bounded like `run_faulty`).
-                            assert!(
-                                flap_waits < MAX_FLAP_WAITS,
-                                "worker collective never recovered from its flap"
-                            );
-                            flap_waits += 1;
-                            stats.backoff_time += res.detect_timeout;
-                            delay += res.detect_timeout;
-                        }
-                        Err(e) => {
-                            // simlint: allow(panic-in-library, reason = "losing a worker GPU is unsurvivable by design (S III-E covers the proxy tier only), and gpu rings are shape-validated at construction")
-                            panic!("worker collective cannot continue: {e}")
-                        }
-                    }
-                }
-            } else {
-                backward_end
-            };
-            next_start = next_start.max(gpu_sync_end);
-            run_end = run_end.max(next_start);
-            emit(OracleEvent::IterationEnd {
-                index: attempt as u32,
-                at: next_start,
-            });
-            emit(OracleEvent::Progress { at: next_start });
-            completed += 1;
-            if !committed_any {
-                committed_any = true;
-                first_period_end = next_start;
-            }
-
-            // Pool checkpoint: sealed-push every shard to its mirror and
-            // wait for the slowest leg before the next iteration starts.
-            if policy.checkpoint_due(completed, iterations) && !state.gpu_only {
-                let ckpt_begin = next_start;
-                match pool_checkpoint(
-                    &mut engine,
-                    &mut state,
-                    &io,
-                    ckpt_begin,
-                    &mut membership,
-                    &mut stats,
-                    self.oracles.as_ref(),
-                    &mut transfer_seq,
-                ) {
-                    PoolIoOutcome::Done(end) => {
-                        run_end = run_end.max(end);
-                        if !state.gpu_only {
-                            stats.checkpoints += 1;
-                            stats.checkpoint_bytes += total_bytes.as_u64();
-                            stats.checkpoint_time += end.saturating_duration_since(ckpt_begin);
-                            last_ckpt = completed;
-                        }
-                        start = end;
-                    }
-                    PoolIoOutcome::MemberDown { device, at } => {
-                        // A proxy died with its checkpoint shard in flight:
-                        // the fresh image never committed, so the restore
-                        // rolls back to the previous one.
-                        emit(OracleEvent::FaultBite {
-                            kind: BiteKind::Dropout,
-                            at,
-                        });
-                        let t2 = at + res.detect_timeout;
-                        stats.detection_time += res.detect_timeout;
-                        if !state.mem_devices.contains(&device) {
-                            // simlint: allow(panic-in-library, reason = "checkpoint legs run between pool members only")
-                            panic!("non-member device dropped mid-checkpoint");
-                        }
-                        state.evict(topo, &self.workers, device);
-                        membership.bump(t2, self.oracles.as_ref());
-                        run_end = run_end.max(t2);
-                        note_recovery(
-                            t2,
-                            &format!(
-                                "restore: proxy {} died mid-checkpoint (epoch {})",
-                                topo.device(device).name(),
-                                membership.epoch
-                            ),
-                        );
-                        if state.gpu_only {
-                            start = t2;
-                        } else {
-                            let end = pool_restore(
-                                &mut engine,
-                                &mut state,
-                                &io,
-                                t2,
-                                &mut membership,
-                                &mut stats,
-                                self.oracles.as_ref(),
-                                &mut transfer_seq,
-                            );
-                            run_end = run_end.max(end);
-                            if !state.gpu_only {
-                                stats.restores += 1;
-                                stats.restore_bytes += total_bytes.as_u64();
-                                stats.restore_time += end.saturating_duration_since(t2);
-                                stats.mttr_total += end.saturating_duration_since(at);
-                                stats.lost_iterations += u64::from(completed - last_ckpt);
-                                completed = last_ckpt;
-                                note_recovery(
-                                    end,
-                                    &format!("restore: rolled back to iteration {completed}"),
-                                );
-                            }
-                            start = end;
-                        }
-                    }
-                }
-            } else {
-                start = next_start;
-            }
-        }
-        stats.degraded_to_gpu = state.gpu_only;
-        stats.membership_epoch = membership.epoch;
-        stats.end = run_end.max(start);
-        stats.wall = start.saturating_duration_since(SimTime::ZERO);
-        (
-            (start - first_period_end) / (iterations as u64 - 1).max(1),
-            stats,
-        )
-    }
-}
-
-/// The shard label the oracle is told about: honest under
-/// [`Sabotage::None`], inverted under [`Sabotage::InvertRetryOrder`] so the
-/// retry-FIFO oracle sees shard indices regress.
-fn shard_label(i: usize, n: usize, sabotage: Sabotage) -> u32 {
-    match sabotage {
-        Sabotage::None => i as u32,
-        Sabotage::InvertRetryOrder => (n - 1 - i) as u32,
-    }
-}
-
-/// After this many integrity rejections of one shard the retransmission is
-/// assumed to land clean (the link re-trains), so 100%-corruption plans
-/// still terminate.
-const MAX_PUSH_ATTEMPTS: u32 = 32;
-
-/// Cap on waiting out a flapped route before declaring the fabric broken.
-const MAX_FLAP_WAITS: u32 = 10_000;
-
-/// Mutable deployment state of one fault-injected run: the surviving
-/// proxies and the routing tables currently addressing them.
-struct FaultDeployState {
-    mem_devices: Vec<DeviceId>,
-    node_mem_rings: Vec<Vec<DeviceId>>,
-    tables: Vec<RoutingTable>,
-    gpu_only: bool,
-}
-
-impl FaultDeployState {
-    /// Removes `dead` from the deployment, charges one detection timeout,
-    /// and repairs the routing tables over the survivors (the §III-E
-    /// dynamic re-profiling used as failover). Fewer than two survivors
-    /// collapse the run to GPU-only synchronization.
-    fn fail_over(
-        &mut self,
-        topo: &Topology,
-        workers: &[DeviceId],
-        dead: DeviceId,
-        policy: &ResiliencePolicy,
-        stats: &mut FaultRunStats,
-    ) {
-        self.evict(topo, workers, dead);
-        stats.failovers += 1;
-        stats.recovery += policy.detect_timeout;
-    }
-
-    /// The membership surgery of [`fail_over`](Self::fail_over) without the
-    /// accounting: removes `dead` and repairs routing over the survivors
-    /// (or collapses to GPU-only below two survivors). The recovery engine
-    /// calls this directly and does its own epoch/time bookkeeping.
-    fn evict(&mut self, topo: &Topology, workers: &[DeviceId], dead: DeviceId) {
-        self.mem_devices.retain(|&d| d != dead);
-        for ring in &mut self.node_mem_rings {
-            ring.retain(|&d| d != dead);
-        }
-        self.node_mem_rings.retain(|r| !r.is_empty());
-        if self.mem_devices.len() < 2 {
-            self.gpu_only = true;
-        } else {
-            self.tables = build_routing_tables(
-                &mut Prober::new(topo),
-                workers,
-                &self.mem_devices,
-                SimTime::ZERO,
-            );
-        }
-    }
-
-    /// The proxy-tier allreduce over the surviving pool. Multi-node runs
-    /// reduce hierarchically while every node keeps the same number of
-    /// proxies; once an eviction leaves the node rings unequal, all
-    /// survivors join one flat ring across the nodes over the CCI-or-network
-    /// fabric, so no healthy proxy is dropped to even the rings out.
-    fn proxy_allreduce(
-        &self,
-        engine: &mut TransferEngine,
-        multi_node: bool,
-        payload: ByteSize,
-        ready_of: impl Fn(DeviceId) -> SimTime,
-        round: usize,
-        proxy_mask: LinkMask,
-    ) -> Result<CollectiveResult, CollectiveError> {
-        let rings = &self.node_mem_rings;
-        let even = rings.iter().all(|r| r.len() == rings[0].len());
-        if multi_node && even {
-            let ready: Vec<SimTime> = rings.iter().flatten().map(|&d| ready_of(d)).collect();
-            return hierarchical_allreduce(engine, rings, payload, &ready, CCI_OR_NETWORK);
-        }
-        let mask = if multi_node {
-            CCI_OR_NETWORK
-        } else {
-            proxy_mask
-        };
-        let ready: Vec<SimTime> = self.mem_devices.iter().map(|&d| ready_of(d)).collect();
-        ring_allreduce(
-            engine,
-            &self.mem_devices,
-            payload,
-            &ready,
-            RingDirection::for_group(round),
-            mask,
-        )
-    }
-}
-
-/// Accounting of one fault-injected run.
-#[derive(Debug, Clone, Copy, Default)]
-struct FaultRunStats {
-    retries: u64,
-    failovers: u64,
-    recovery: SimDuration,
-    degraded_to_gpu: bool,
-    /// Latest simulated instant the run touched (RunEnd stamp).
-    end: SimTime,
-}
-
-/// Oracle context of one shard stream: where (if anywhere) to report the
-/// attempts of one tensor's push or pull.
-struct ShardStream<'a> {
-    hub: Option<&'a OracleHub>,
-    worker: u32,
-    stream: u64,
-    shard: u32,
-}
-
-/// One client-side shard transfer under faults: integrity-rejected
-/// transfers are retransmitted after exponential backoff, flapped routes
-/// are waited out, and a dropped endpoint is reported to the caller for
-/// failover (`Err` carries the dead device).
-#[allow(clippy::too_many_arguments)]
-fn resilient_shard_transfer(
-    engine: &mut TransferEngine,
-    plan: &FaultPlan,
-    policy: &ResiliencePolicy,
-    src: DeviceId,
-    dst: DeviceId,
-    size: ByteSize,
-    at: SimTime,
-    transfer_seq: &mut u64,
-    stats: &mut FaultRunStats,
-    obs: &ShardStream<'_>,
-) -> Result<SimTime, DeviceId> {
-    let mut t = at;
-    let mut attempt = 0u32;
-    loop {
-        if let Some(hub) = obs.hub {
-            hub.emit(OracleEvent::ShardAttempt {
-                worker: obs.worker,
-                stream: obs.stream,
-                shard: obs.shard,
-                attempt,
-                at: t,
-            });
-        }
-        *transfer_seq += 1;
-        match engine.transfer_masked(src, dst, size, t, PCIE_ONLY) {
-            Ok(rec) => {
-                if attempt < MAX_PUSH_ATTEMPTS
-                    && plan.corrupts(dst.index() as u32, rec.end, *transfer_seq)
-                {
-                    // CRC32 seal rejected at the receiver: back off and
-                    // retransmit (a fresh sequence number draws a fresh,
-                    // reproducible corruption decision).
-                    if let Some(hub) = obs.hub {
-                        hub.emit(OracleEvent::FaultBite {
-                            kind: BiteKind::Corrupt,
-                            at: rec.end,
-                        });
-                    }
-                    stats.retries += 1;
-                    let backoff = policy.backoff_after(attempt);
-                    stats.recovery += backoff;
-                    t = rec.end + backoff;
-                    attempt += 1;
-                    continue;
-                }
-                return Ok(rec.end);
-            }
-            Err(TransferError::DeviceDown { device }) => return Err(device),
-            Err(TransferError::NoRoute { .. }) => {
-                // A link flap cut every allowed route: wait one detection
-                // timeout for the fabric to heal and try again.
-                assert!(
-                    attempt < MAX_FLAP_WAITS,
-                    "route {src:?} -> {dst:?} never recovered from its flap"
-                );
-                stats.recovery += policy.detect_timeout;
-                t += policy.detect_timeout;
-                attempt += 1;
-            }
-        }
-    }
-}
-
-/// Accounting of one recovery-engine run.
-#[derive(Debug, Clone, Copy, Default)]
-struct RecoveryRunStats {
-    /// Retransmissions of integrity-rejected sealed pushes.
-    retries: u64,
-    /// Elastic membership repairs (soft evictions, routing rebuilt).
-    repairs: u64,
-    /// Restore episodes (hard failure, rollback to the last checkpoint).
-    restores: u64,
-    /// Final membership epoch (number of membership changes).
-    membership_epoch: u64,
-    /// Pool checkpoints committed.
-    checkpoints: u64,
-    /// Simulated time training stalled on checkpoint pushes.
-    checkpoint_time: SimDuration,
-    /// Bytes sealed-pushed into the pool by committed checkpoints.
-    checkpoint_bytes: u64,
-    /// Simulated time spent coherently reading images back out.
-    restore_time: SimDuration,
-    /// Bytes coherently read back by restores.
-    restore_bytes: u64,
-    /// Committed iterations rolled back and re-executed.
-    lost_iterations: u64,
-    /// Simulated time charged to failure detection.
-    detection_time: SimDuration,
-    /// Simulated time spent backing off and waiting out outages.
-    backoff_time: SimDuration,
-    /// Summed failure-to-recovered episode lengths (MTTR numerator).
-    mttr_total: SimDuration,
-    degraded_to_gpu: bool,
-    /// Total wall time of the run (first iteration start to last commit).
-    wall: SimDuration,
-    /// Latest simulated instant the run touched (RunEnd stamp).
-    end: SimTime,
-}
-
-/// Epoch-stamped proxy membership view of one recovering run. Epoch 0 is
-/// the initial view; every eviction announces a strictly newer epoch.
-#[derive(Debug, Clone, Copy, Default)]
-struct Membership {
-    epoch: u64,
-    stamp: SimTime,
-}
-
-impl Membership {
-    /// Announces the next membership epoch. Concurrent streams are
-    /// simulated in program order, so a later eviction can carry an earlier
-    /// instant; the control plane serializes views, so announced stamps
-    /// never run backward.
-    fn bump(&mut self, at: SimTime, oracles: Option<&OracleHub>) {
-        self.epoch += 1;
-        self.stamp = self.stamp.max(at);
-        if let Some(hub) = oracles {
-            hub.emit(OracleEvent::MembershipEpoch {
-                epoch: self.epoch,
-                at: self.stamp,
-            });
-        }
-    }
-}
-
-/// Immutable context shared by the pool checkpoint/restore helpers.
-struct PoolIo<'a> {
-    topo: &'a Topology,
-    workers: &'a [DeviceId],
-    proxy_mask: LinkMask,
-    /// Full parameter-image size (every checkpoint and restore moves it).
-    total: ByteSize,
-    plan: &'a FaultPlan,
-    policy: &'a RecoveryPolicy,
-}
-
-/// What a pool checkpoint came to.
-enum PoolIoOutcome {
-    /// All legs landed; the image is durable as of this instant.
-    Done(SimTime),
-    /// A pool member died with a leg in flight; the caller escalates to a
-    /// restore episode (this image never committed).
-    MemberDown { device: DeviceId, at: SimTime },
-}
-
-/// What one shard transfer under a [`RecoveryPolicy`] came to.
-enum ShardOutcome {
-    Done(SimTime),
-    /// A device must leave the membership: the transfer's endpoint died
-    /// (`hard`, triggering a restore) or exhausted its retry budget
-    /// (`!hard`, triggering an elastic repair).
-    Evict {
-        device: DeviceId,
-        hard: bool,
-        at: SimTime,
-    },
-}
-
-/// One client-side shard transfer under a [`RecoveryPolicy`]: like
-/// [`resilient_shard_transfer`] but with *bounded* budgets — when the
-/// corruption or route-wait budget runs out the proxy endpoint is handed
-/// back for eviction instead of retrying forever. `proxy` names the
-/// evictable endpoint (the destination for pushes, the source for pulls).
-#[allow(clippy::too_many_arguments)]
-fn recovering_shard_transfer(
-    engine: &mut TransferEngine,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    src: DeviceId,
-    dst: DeviceId,
-    proxy: DeviceId,
-    size: ByteSize,
-    at: SimTime,
-    transfer_seq: &mut u64,
-    stats: &mut RecoveryRunStats,
-    obs: &ShardStream<'_>,
-) -> ShardOutcome {
-    let res = &policy.resilience;
-    let mut t = at;
-    let mut rejects = 0u32;
-    let mut waits = 0u32;
-    loop {
-        if let Some(hub) = obs.hub {
-            hub.emit(OracleEvent::ShardAttempt {
-                worker: obs.worker,
-                stream: obs.stream,
-                shard: obs.shard,
-                attempt: rejects + waits,
-                at: t,
-            });
-        }
-        *transfer_seq += 1;
-        match engine.transfer_masked(src, dst, size, t, PCIE_ONLY) {
-            Ok(rec) => {
-                if plan.corrupts(dst.index() as u32, rec.end, *transfer_seq) {
-                    if let Some(hub) = obs.hub {
-                        hub.emit(OracleEvent::FaultBite {
-                            kind: BiteKind::Corrupt,
-                            at: rec.end,
-                        });
-                    }
-                    match policy.action_for(FailureKind::CorruptStream, rejects) {
-                        RecoveryAction::Retry => {
-                            stats.retries += 1;
-                            let backoff = res.backoff_after(rejects);
-                            stats.backoff_time += backoff;
-                            t = rec.end + backoff;
-                            rejects += 1;
-                            continue;
-                        }
-                        // The seal keeps failing: the proxy's receive path
-                        // is suspect — evict it rather than spin.
-                        _ => {
-                            return ShardOutcome::Evict {
-                                device: proxy,
-                                hard: false,
-                                at: rec.end,
-                            }
-                        }
-                    }
-                }
-                return ShardOutcome::Done(rec.end);
-            }
-            Err(TransferError::DeviceDown { device }) => {
-                return ShardOutcome::Evict {
-                    device,
-                    hard: true,
-                    at: t,
-                }
-            }
-            Err(TransferError::NoRoute { .. }) => {
-                match policy.action_for(FailureKind::RouteOutage, waits) {
-                    RecoveryAction::Retry => {
-                        stats.backoff_time += res.detect_timeout;
-                        t += res.detect_timeout;
-                        waits += 1;
-                    }
-                    _ => {
-                        return ShardOutcome::Evict {
-                            device: proxy,
-                            hard: false,
-                            at: t,
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One pool checkpoint: every surviving proxy sealed-pushes its shard of
-/// the parameter image to its ring mirror (per [`plan_pool_checkpoint`]),
-/// all legs in parallel from `at`, and the image commits when the slowest
-/// leg lands. Transient failures follow the policy budgets — corruption
-/// retries with backoff then evicts the mirror, severed routes are waited
-/// out then repaired — and any eviction replans the legs over the shrunken
-/// membership (the image restarts; a half-written image is useless). A
-/// member death aborts: the caller escalates to a restore episode.
-#[allow(clippy::too_many_arguments)]
-fn pool_checkpoint(
-    engine: &mut TransferEngine,
-    state: &mut FaultDeployState,
-    io: &PoolIo<'_>,
-    at: SimTime,
-    membership: &mut Membership,
-    stats: &mut RecoveryRunStats,
-    oracles: Option<&OracleHub>,
-    transfer_seq: &mut u64,
-) -> PoolIoOutcome {
-    let res = &io.policy.resilience;
-    let mut at = at;
-    'replan: loop {
-        let members = state.mem_devices.clone();
-        let legs = plan_pool_checkpoint(members.len(), io.total);
-        let mut end = at;
-        for leg in &legs.legs {
-            let (src, dst) = (members[leg.src], members[leg.mirror]);
-            let mut t = at;
-            let mut rejects = 0u32;
-            let mut waits = 0u32;
-            loop {
-                *transfer_seq += 1;
-                match engine.transfer_masked(src, dst, leg.bytes, t, io.proxy_mask) {
-                    Ok(rec) => {
-                        if io.plan.corrupts(dst.index() as u32, rec.end, *transfer_seq) {
-                            if let Some(hub) = oracles {
-                                hub.emit(OracleEvent::FaultBite {
-                                    kind: BiteKind::Corrupt,
-                                    at: rec.end,
-                                });
-                            }
-                            match io.policy.action_for(FailureKind::CorruptStream, rejects) {
-                                RecoveryAction::Retry => {
-                                    stats.retries += 1;
-                                    let backoff = res.backoff_after(rejects);
-                                    stats.backoff_time += backoff;
-                                    t = rec.end + backoff;
-                                    rejects += 1;
-                                    continue;
-                                }
-                                _ => {
-                                    // The mirror's seal keeps failing:
-                                    // evict it and replan the image.
-                                    stats.detection_time += res.detect_timeout;
-                                    let t2 = rec.end + res.detect_timeout;
-                                    state.evict(io.topo, io.workers, dst);
-                                    membership.bump(t2, oracles);
-                                    stats.repairs += 1;
-                                    if state.gpu_only {
-                                        return PoolIoOutcome::Done(t2);
-                                    }
-                                    at = t2;
-                                    continue 'replan;
-                                }
-                            }
-                        }
-                        end = end.max(rec.end);
-                        break;
-                    }
-                    Err(TransferError::DeviceDown { device }) => {
-                        return PoolIoOutcome::MemberDown { device, at: t };
-                    }
-                    Err(TransferError::NoRoute { .. }) => {
-                        match io.policy.action_for(FailureKind::RouteOutage, waits) {
-                            RecoveryAction::Retry => {
-                                stats.backoff_time += res.detect_timeout;
-                                t += res.detect_timeout;
-                                waits += 1;
-                            }
-                            _ => {
-                                stats.detection_time += res.detect_timeout;
-                                let t2 = t + res.detect_timeout;
-                                state.evict(io.topo, io.workers, dst);
-                                membership.bump(t2, oracles);
-                                stats.repairs += 1;
-                                if state.gpu_only {
-                                    return PoolIoOutcome::Done(t2);
-                                }
-                                at = t2;
-                                continue 'replan;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        return PoolIoOutcome::Done(end);
-    }
-}
-
-/// One pool restore: every surviving proxy coherently reads its shard of
-/// the last committed image back from its ring mirror — the reverse of
-/// [`pool_checkpoint`]'s legs, and plain coherent reads rather than sealed
-/// pushes, so there is no corruption check on this path. Members that die
-/// mid-restore are detected, evicted, and the read replanned over the
-/// survivors (membership strictly shrinks, so this terminates); if the
-/// pool collapses to fewer than two members the restore is moot and the
-/// caller finds `state.gpu_only` set. Returns the instant the image (or
-/// the degraded run) is ready.
-#[allow(clippy::too_many_arguments)]
-fn pool_restore(
-    engine: &mut TransferEngine,
-    state: &mut FaultDeployState,
-    io: &PoolIo<'_>,
-    at: SimTime,
-    membership: &mut Membership,
-    stats: &mut RecoveryRunStats,
-    oracles: Option<&OracleHub>,
-    transfer_seq: &mut u64,
-) -> SimTime {
-    let res = &io.policy.resilience;
-    let mut at = at;
-    'replan: loop {
-        if state.gpu_only {
-            return at;
-        }
-        let members = state.mem_devices.clone();
-        let legs = plan_pool_checkpoint(members.len(), io.total);
-        let mut end = at;
-        for leg in &legs.legs {
-            let (src, dst) = (members[leg.mirror], members[leg.src]);
-            let mut t = at;
-            let mut waits = 0u32;
-            loop {
-                *transfer_seq += 1;
-                match engine.transfer_masked(src, dst, leg.bytes, t, io.proxy_mask) {
-                    Ok(rec) => {
-                        end = end.max(rec.end);
-                        break;
-                    }
-                    Err(TransferError::DeviceDown { device }) => {
-                        // Another member died mid-restore: detect, evict,
-                        // and replan the reads over the survivors.
-                        if let Some(hub) = oracles {
-                            hub.emit(OracleEvent::FaultBite {
-                                kind: BiteKind::Dropout,
-                                at: t,
-                            });
-                        }
-                        if !state.mem_devices.contains(&device) {
-                            // simlint: allow(panic-in-library, reason = "restore legs run between pool members only")
-                            panic!("non-member device dropped mid-restore");
-                        }
-                        stats.detection_time += res.detect_timeout;
-                        let t2 = t + res.detect_timeout;
-                        state.evict(io.topo, io.workers, device);
-                        membership.bump(t2, oracles);
-                        at = t2;
-                        continue 'replan;
-                    }
-                    Err(TransferError::NoRoute { .. }) => {
-                        match io.policy.action_for(FailureKind::RouteOutage, waits) {
-                            RecoveryAction::Retry => {
-                                stats.backoff_time += res.detect_timeout;
-                                t += res.detect_timeout;
-                                waits += 1;
-                            }
-                            _ => {
-                                // The mirror is unreachable: evict it and
-                                // replan (its shard is re-read from the
-                                // survivor ring's reshuffled mirrors).
-                                stats.detection_time += res.detect_timeout;
-                                let t2 = t + res.detect_timeout;
-                                state.evict(io.topo, io.workers, src);
-                                membership.bump(t2, oracles);
-                                stats.repairs += 1;
-                                at = t2;
-                                continue 'replan;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        return end;
+        self.stats.degraded_to_gpu = self.gpu_only;
+        self.stats.end = self.stats.end.max(start);
+        self.stats.wall = start.saturating_duration_since(SimTime::ZERO);
+        (period, self.stats)
     }
 }
 
@@ -2506,12 +1665,23 @@ pub(crate) struct Prepared<'a> {
 }
 
 impl Prepared<'_> {
-    fn train_result(&self, period: SimDuration) -> TrainResult {
-        TrainResult::new(
-            period,
-            self.deployment.plan.compute_time(),
-            self.global_batch,
-        )
+    /// One run of `iterations` under `faults` on a fresh engine of the
+    /// fabric they call for. An oracle-observed run's event stream closes
+    /// with the run's fingerprint (for the clean-run-equivalence oracle) and
+    /// its `RunEnd` stamp.
+    fn run(&self, iterations: u32, faults: Faults<'_>) -> (TrainResult, RunStats) {
+        assert_steady_state(iterations);
+        let d = &self.deployment;
+        let mut engine = d.engine_for(faults);
+        let (period, stats) = d.train(&mut engine, self.best_m, iterations, faults, None, false);
+        let result = TrainResult::new(period, d.plan.compute_time(), self.global_batch);
+        if let Some(hub) = &d.oracles {
+            hub.emit(OracleEvent::RunFingerprint {
+                hash: result_fingerprint(&result),
+            });
+            hub.emit(OracleEvent::RunEnd { at: stats.end });
+        }
+        (result, stats)
     }
 
     /// A fault-free run of `iterations`.
@@ -2520,54 +1690,42 @@ impl Prepared<'_> {
     ///
     /// Panics if `iterations < 2`.
     pub(crate) fn clean(&self, iterations: u32) -> TrainResult {
-        assert_steady_state(iterations);
-        let mut engine = self.deployment.engine();
-        self.train_result(self.deployment.run(&mut engine, self.best_m, iterations))
+        self.faulty(
+            iterations,
+            &FaultPlan::empty(),
+            &ResiliencePolicy::default(),
+        )
+        .result
     }
 
-    /// A run under `plan` (see [`simulate_coarse_faulty`]). An empty plan
-    /// takes the clean path: the result equals [`clean`](Self::clean)'s
-    /// and the accounting is all zeros.
+    /// A run under `plan` that fails over (see [`FaultyTrainResult`]). An
+    /// empty plan is the clean run: the result equals
+    /// [`clean`](Self::clean)'s and the accounting is all zeros.
     ///
     /// # Panics
     ///
-    /// Panics if `iterations < 2`.
+    /// Panics if `iterations < 2` or the plan drops a worker.
     pub(crate) fn faulty(
         &self,
         iterations: u32,
         plan: &FaultPlan,
         policy: &ResiliencePolicy,
     ) -> FaultyTrainResult {
-        let (result, end) = if plan.is_empty() {
-            let clean = FaultyTrainResult {
-                result: self.clean(iterations),
-                injected_faults: 0,
-                retries: 0,
-                failovers: 0,
-                degraded_to_gpu: false,
-                recovery_time: SimDuration::ZERO,
-            };
-            (clean, SimTime::ZERO)
-        } else {
-            assert_steady_state(iterations);
-            let (period, stats) = self
-                .deployment
-                .run_faulty(self.best_m, iterations, plan, policy);
-            let faulty = FaultyTrainResult {
-                result: self.train_result(period),
-                injected_faults: plan.len(),
-                retries: stats.retries,
-                failovers: stats.failovers,
-                degraded_to_gpu: stats.degraded_to_gpu,
-                recovery_time: stats.recovery,
-            };
-            (faulty, stats.end)
-        };
-        self.close_observed_run(&result.result, end);
-        result
+        let response = Response::Failover(policy);
+        let (result, stats) = self.run(iterations, Faults { plan, response });
+        FaultyTrainResult {
+            result,
+            injected_faults: plan.len(),
+            retries: stats.retries,
+            failovers: stats.evictions,
+            degraded_to_gpu: stats.degraded_to_gpu,
+            recovery_time: stats.detection_time + stats.backoff_time,
+        }
     }
 
-    /// A run under the recovery engine (see [`simulate_coarse_recovering`]).
+    /// A run under the recovery engine (see [`RecoveringTrainResult`]).
+    /// With an empty plan and `checkpoint_interval = 0` it is the clean
+    /// run, and its `wall` is the clean run's end.
     ///
     /// # Panics
     ///
@@ -2578,18 +1736,16 @@ impl Prepared<'_> {
         plan: &FaultPlan,
         policy: &RecoveryPolicy,
     ) -> RecoveringTrainResult {
-        assert_steady_state(iterations);
-        let (period, stats) = self
-            .deployment
-            .run_recovering(self.best_m, iterations, plan, policy);
-        let result = RecoveringTrainResult {
-            result: self.train_result(period),
+        let response = Response::Recover(policy);
+        let (result, stats) = self.run(iterations, Faults { plan, response });
+        RecoveringTrainResult {
+            result,
             wall: stats.wall,
             injected_faults: plan.len(),
             retries: stats.retries,
             repairs: stats.repairs,
             restores: stats.restores,
-            membership_epoch: stats.membership_epoch,
+            membership_epoch: stats.evictions,
             checkpoints: stats.checkpoints,
             checkpoint_time: stats.checkpoint_time,
             checkpoint_bytes: ByteSize::bytes(stats.checkpoint_bytes),
@@ -2604,9 +1760,7 @@ impl Prepared<'_> {
                 stats.mttr_total / stats.restores
             },
             degraded_to_gpu: stats.degraded_to_gpu,
-        };
-        self.close_observed_run(&result.result, stats.end);
-        result
+        }
     }
 
     /// A clean run that also reports the `top_n` busiest directed links
@@ -2614,10 +1768,9 @@ impl Prepared<'_> {
     /// descending order.
     fn with_hotspots(&self, iterations: u32, top_n: usize) -> (TrainResult, Vec<(String, f64)>) {
         assert_steady_state(iterations);
-        let mut engine = self.deployment.engine();
-        let (period, _) =
-            self.deployment
-                .run_inner(&mut engine, self.best_m, iterations, false, false);
+        let d = &self.deployment;
+        let mut engine = d.engine();
+        let period = d.period(&mut engine, self.best_m, iterations, None, true);
         let horizon = SimTime::ZERO + period * u64::from(iterations);
         let topo = engine.topology();
         let links = engine
@@ -2636,19 +1789,8 @@ impl Prepared<'_> {
                 )
             })
             .collect();
-        (self.train_result(period), links)
-    }
-
-    /// Closes an oracle-observed run's event stream with its fingerprint
-    /// (for the clean-run-equivalence oracle) and the `RunEnd` stamp. A
-    /// no-op when no hub is armed.
-    fn close_observed_run(&self, result: &TrainResult, end: SimTime) {
-        if let Some(hub) = &self.deployment.oracles {
-            hub.emit(OracleEvent::RunFingerprint {
-                hash: result_fingerprint(result),
-            });
-            hub.emit(OracleEvent::RunEnd { at: end });
-        }
+        let result = TrainResult::new(period, d.plan.compute_time(), self.global_batch);
+        (result, links)
     }
 
     /// Runs `run` with `hub` armed and `sabotage` in force, announcing the
@@ -2708,6 +1850,16 @@ pub fn simulate_coarse(
 
 /// Steady-state results of a fault-injected COARSE run, together with what
 /// the resilience machinery did to survive the plan.
+///
+/// The deployment decision (routing tables, dual-sync split) is profiled on
+/// the *healthy* fabric, exactly as for [`simulate_coarse`], and the
+/// measured run then travels under the plan: link degradations stretch
+/// serialization, flapped links reroute (or are waited out), transient
+/// corruption triggers retry-with-backoff, a dropped memory device triggers
+/// proxy failover with routing-table repair, and losing the proxy tier
+/// degrades synchronization to GPU-only allreduce. An empty plan is the
+/// clean run, byte for byte; a non-empty plan is byte-deterministic under
+/// its seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultyTrainResult {
     /// Steady-state training result of the faulty run.
@@ -2737,36 +1889,6 @@ impl FaultyTrainResult {
     }
 }
 
-/// Simulates COARSE training under an injected [`FaultPlan`].
-///
-/// The deployment decision (routing tables, dual-sync split) is profiled
-/// on the *healthy* fabric — exactly as [`simulate_coarse`] does — and the
-/// measured run then travels under the plan: link degradations stretch
-/// serialization, flapped links reroute (or are waited out), transient
-/// corruption triggers retry-with-backoff, a dropped memory device triggers
-/// proxy failover with routing-table repair, and losing the proxy tier
-/// degrades synchronization to GPU-only allreduce.
-///
-/// An **empty plan takes the fast path**: the run is byte-identical to
-/// [`simulate_coarse`] and the fault accounting is all zeros. A non-empty
-/// plan is byte-deterministic under its seed: two runs of the same plan
-/// produce identical results.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate_coarse`].
-pub fn simulate_coarse_faulty(
-    machine: &Machine,
-    partition: &Partition,
-    model: &ModelProfile,
-    batch_per_gpu: u32,
-    iterations: u32,
-    plan: &FaultPlan,
-    policy: &ResiliencePolicy,
-) -> FaultyTrainResult {
-    prepare(machine, partition, model, batch_per_gpu).faulty(iterations, plan, policy)
-}
-
 /// Deterministic FNV-1a fingerprint of a training result: the exact bit
 /// patterns of every field, so two results fingerprint equal iff they are
 /// byte-identical. Feed the fault-free run's fingerprint to the oracle hub
@@ -2786,42 +1908,6 @@ pub fn result_fingerprint(r: &TrainResult) -> u64 {
     mix(r.blocked_comm.as_nanos());
     mix(r.throughput.to_bits());
     h
-}
-
-/// [`simulate_coarse_faulty`] with an [`OracleHub`] armed: the run emits
-/// the full oracle event stream — fabric transfer ledger entries and fault
-/// bites (from the engine), per-shard attempt/reset records, stall and
-/// corruption bites, iteration boundaries, fingerprints, and the final
-/// `RunEnd` — so every built-in oracle audits the run as it happens.
-///
-/// `reference` is the fault-free run's [`result_fingerprint`]; when given,
-/// the clean-run-equivalence oracle checks that a run whose faults never
-/// bit anything reproduces it exactly. `sabotage` deliberately breaks a
-/// protocol invariant (see [`Sabotage`]) so self-tests can prove the
-/// oracles catch real bugs; pass [`Sabotage::None`] otherwise.
-///
-/// Observation is passive: the returned result is byte-identical to
-/// [`simulate_coarse_faulty`]'s regardless of hub or sabotage.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate_coarse`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_coarse_faulty_observed(
-    machine: &Machine,
-    partition: &Partition,
-    model: &ModelProfile,
-    batch_per_gpu: u32,
-    iterations: u32,
-    plan: &FaultPlan,
-    policy: &ResiliencePolicy,
-    hub: &OracleHub,
-    sabotage: Sabotage,
-    reference: Option<u64>,
-) -> FaultyTrainResult {
-    prepare(machine, partition, model, batch_per_gpu).observed(hub, sabotage, reference, |p| {
-        p.faulty(iterations, plan, policy)
-    })
 }
 
 /// Results of a recovery-engine run: the steady-state training result plus
@@ -2885,89 +1971,6 @@ impl RecoveringTrainResult {
             && !self.degraded_to_gpu
             && self.lost_iterations == 0
     }
-}
-
-/// Simulates COARSE training under the full recovery engine: pool
-/// checkpoints every [`RecoveryPolicy::checkpoint_interval`] iterations
-/// become real sealed-push traffic, transient failures repair the
-/// membership elastically (epoch-stamped evictions), and hard failures
-/// restore from the last committed pool checkpoint — rolling the run back
-/// and re-executing the lost iterations, all on the simulated clock.
-///
-/// Unlike [`simulate_coarse_faulty`] there is no empty-plan fast path:
-/// a zero-fault run still pays its checkpoint cadence (that is the
-/// overhead being measured), and with `checkpoint_interval = 0` it times
-/// identically to [`simulate_coarse`]. Byte-deterministic under its plan.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate_coarse`], plus a dropped *worker* (the
-/// proxy tier is the only failover domain).
-pub fn simulate_coarse_recovering(
-    machine: &Machine,
-    partition: &Partition,
-    model: &ModelProfile,
-    batch_per_gpu: u32,
-    iterations: u32,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-) -> RecoveringTrainResult {
-    prepare(machine, partition, model, batch_per_gpu).recovering(iterations, plan, policy)
-}
-
-/// [`simulate_coarse_recovering`] with an [`OracleHub`] armed: alongside
-/// the fault-run event stream the engine announces every membership epoch
-/// ([`OracleEvent::MembershipEpoch`]) for the membership-monotonicity
-/// oracle, and iteration ends keep a monotone index across rollbacks so
-/// re-execution never trips the time or FIFO oracles. `reference` is the
-/// fault-free fingerprint for clean-run equivalence. Observation is
-/// passive: the returned result is byte-identical to
-/// [`simulate_coarse_recovering`]'s.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate_coarse_recovering`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_coarse_recovering_observed(
-    machine: &Machine,
-    partition: &Partition,
-    model: &ModelProfile,
-    batch_per_gpu: u32,
-    iterations: u32,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    hub: &OracleHub,
-    reference: Option<u64>,
-) -> RecoveringTrainResult {
-    prepare(machine, partition, model, batch_per_gpu).observed(
-        hub,
-        Sabotage::None,
-        reference,
-        |p| p.recovering(iterations, plan, policy),
-    )
-}
-
-/// [`simulate_coarse_faulty`] with a recording tracer attached: the trace
-/// carries one instant per injected fault (category `fault`) plus an
-/// instant per resilience action, alongside the usual fabric spans.
-///
-/// # Panics
-///
-/// Same conditions as [`simulate_coarse`].
-pub fn record_coarse_faulty_trace(
-    machine: &Machine,
-    partition: &Partition,
-    model: &ModelProfile,
-    batch_per_gpu: u32,
-    iterations: u32,
-    plan: &FaultPlan,
-    policy: &ResiliencePolicy,
-) -> (FaultyTrainResult, Trace) {
-    let rec = RecordingTracer::new();
-    let mut prepared = prepare(machine, partition, model, batch_per_gpu);
-    prepared.deployment.tracer = Some(rec.handle());
-    let result = prepared.faulty(iterations, plan, policy);
-    (result, rec.take())
 }
 
 /// Test-only count of the deployment decisions made on the current thread,
@@ -3223,7 +2226,7 @@ fn prepare_traced<'a>(
         .into_iter()
         .map(|m| {
             engine.reset_idle();
-            let period = deployment.run(&mut engine, m, 2);
+            let period = deployment.period(&mut engine, m, 2, None, false);
             if debug {
                 eprintln!("[coarse]   pilot m={m} -> period={period}");
             }
@@ -3308,13 +2311,9 @@ pub fn trace_coarse(
     batch_per_gpu: u32,
 ) -> crate::timeline::IterationTrace {
     let prepared = prepare(machine, partition, model, batch_per_gpu);
-    let (period, spans) = prepared.deployment.run_inner(
-        &mut prepared.deployment.engine(),
-        prepared.best_m,
-        3,
-        true,
-        false,
-    );
+    let d = &prepared.deployment;
+    let mut spans = Vec::new();
+    let period = d.period(&mut d.engine(), prepared.best_m, 3, Some(&mut spans), false);
     crate::timeline::IterationTrace::new(spans, period)
 }
 
@@ -3441,6 +2440,30 @@ mod tests {
     use crate::dense::simulate_dense;
     use coarse_fabric::machines::{aws_t4, aws_v100, sdsc_p100, PartitionScheme};
     use coarse_models::zoo::{bert_large, resnet50};
+
+    fn faulty(
+        machine: &Machine,
+        partition: &Partition,
+        model: &ModelProfile,
+        batch_per_gpu: u32,
+        iterations: u32,
+        plan: &FaultPlan,
+        policy: &ResiliencePolicy,
+    ) -> FaultyTrainResult {
+        prepare(machine, partition, model, batch_per_gpu).faulty(iterations, plan, policy)
+    }
+
+    fn recovering(
+        machine: &Machine,
+        partition: &Partition,
+        model: &ModelProfile,
+        batch_per_gpu: u32,
+        iterations: u32,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> RecoveringTrainResult {
+        prepare(machine, partition, model, batch_per_gpu).recovering(iterations, plan, policy)
+    }
 
     #[test]
     fn shard_sizes_tile_payload() {
@@ -3587,25 +2610,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_run_with_empty_plan_is_byte_identical() {
-        let m = aws_v100();
-        let p = m.partition(PartitionScheme::OneToOne);
-        let model = bert_large();
-        let clean = simulate_coarse(&m, &p, &model, 2, 3);
-        let faulty = simulate_coarse_faulty(
-            &m,
-            &p,
-            &model,
-            2,
-            3,
-            &FaultPlan::empty(),
-            &ResiliencePolicy::default(),
-        );
-        assert!(faulty.is_clean());
-        assert_eq!(clean, faulty.result, "empty plan must perturb nothing");
-    }
-
-    #[test]
     fn runs_on_one_handle_match_fresh_deployments() {
         let m = aws_v100();
         let p = m.partition(PartitionScheme::OneToOne);
@@ -3616,21 +2620,18 @@ mod tests {
         let policy = ResiliencePolicy::default();
         let prepared = prepare(&m, &p, &model, 2);
         let clean = prepared.clean(3);
-        let faulty = prepared.faulty(3, &plan, &policy);
-        let recovering = prepared.recovering(3, &plan, &RecoveryPolicy::default());
+        let failed_over = prepared.faulty(3, &plan, &policy);
+        let recovered = prepared.recovering(3, &plan, &RecoveryPolicy::default());
         assert_eq!(
             prepared.clean(3),
             clean,
             "runs leave the deployment as found"
         );
         assert_eq!(clean, simulate_coarse(&m, &p, &model, 2, 3));
+        assert_eq!(failed_over, faulty(&m, &p, &model, 2, 3, &plan, &policy));
         assert_eq!(
-            faulty,
-            simulate_coarse_faulty(&m, &p, &model, 2, 3, &plan, &policy)
-        );
-        assert_eq!(
-            recovering,
-            simulate_coarse_recovering(&m, &p, &model, 2, 3, &plan, &RecoveryPolicy::default())
+            recovered,
+            recovering(&m, &p, &model, 2, 3, &plan, &RecoveryPolicy::default())
         );
     }
 
@@ -3647,7 +2648,7 @@ mod tests {
         let victim = p.mem_devices[1].index() as u32;
         let plan =
             FaultPlan::new(11).drop_device(victim, SimTime::ZERO + SimDuration::from_millis(1));
-        let a = simulate_coarse_faulty(&m, &p, &model, 2, 3, &plan, &policy);
+        let a = faulty(&m, &p, &model, 2, 3, &plan, &policy);
         assert_eq!(a.failovers, 1, "exactly one proxy fails over");
         assert!(!a.degraded_to_gpu, "three survivors keep the proxy tier");
         assert!(
@@ -3659,7 +2660,7 @@ mod tests {
             "losing a proxy cannot speed the run up"
         );
         // Byte-deterministic across same-seed runs.
-        let b = simulate_coarse_faulty(&m, &p, &model, 2, 3, &plan, &policy);
+        let b = faulty(&m, &p, &model, 2, 3, &plan, &policy);
         assert_eq!(a, b, "same plan + seed must reproduce exactly");
     }
 
@@ -3672,7 +2673,7 @@ mod tests {
         for &d in &p.mem_devices {
             plan = plan.drop_device(d.index() as u32, SimTime::ZERO);
         }
-        let r = simulate_coarse_faulty(&m, &p, &model, 2, 3, &plan, &ResiliencePolicy::default());
+        let r = faulty(&m, &p, &model, 2, 3, &plan, &ResiliencePolicy::default());
         assert!(r.degraded_to_gpu, "no survivors: GPU-only degradation");
         assert_eq!(r.failovers as usize, p.mem_devices.len());
         assert!(r.result.iteration_time > SimDuration::ZERO);
@@ -3688,11 +2689,11 @@ mod tests {
         for &d in &p.mem_devices {
             plan = plan.corrupt_transfers(d.index() as u32, SimTime::ZERO, SimTime::MAX, 300_000);
         }
-        let r = simulate_coarse_faulty(&m, &p, &model, 64, 3, &plan, &policy);
+        let r = faulty(&m, &p, &model, 64, 3, &plan, &policy);
         assert!(r.retries > 0, "a 30% corruption rate must force retries");
         assert_eq!(r.failovers, 0);
         assert!(r.recovery_time > SimDuration::ZERO, "backoff accumulates");
-        let again = simulate_coarse_faulty(&m, &p, &model, 64, 3, &plan, &policy);
+        let again = faulty(&m, &p, &model, 64, 3, &plan, &policy);
         assert_eq!(r, again, "keyed-hash corruption must be reproducible");
     }
 
@@ -3704,8 +2705,11 @@ mod tests {
         let victim = p.mem_devices[0].index() as u32;
         let plan =
             FaultPlan::new(3).drop_device(victim, SimTime::ZERO + SimDuration::from_millis(1));
-        let (r, trace) =
-            record_coarse_faulty_trace(&m, &p, &model, 64, 3, &plan, &ResiliencePolicy::default());
+        let rec = RecordingTracer::new();
+        let mut prepared = prepare(&m, &p, &model, 64);
+        prepared.deployment.tracer = Some(rec.handle());
+        let r = prepared.faulty(3, &plan, &ResiliencePolicy::default());
+        let trace = rec.take();
         assert_eq!(r.failovers, 1);
         let faults: Vec<_> = trace.events_in(category::FAULT).collect();
         assert!(
@@ -3713,50 +2717,6 @@ mod tests {
             "expected the injected-fault instant plus a failover instant, got {}",
             faults.len()
         );
-    }
-
-    #[test]
-    fn inert_plan_times_identically_to_the_clean_run() {
-        // A non-empty plan whose windows close before any transfer starts
-        // must not perturb the run: this is the contract the
-        // clean-run-equivalence oracle (and the chaos runner's reference
-        // fingerprint) relies on.
-        let m = aws_v100();
-        let p = m.partition(PartitionScheme::OneToOne);
-        let model = bert_large();
-        let clean = simulate_coarse(&m, &p, &model, 2, 3);
-        let inert = FaultPlan::new(11).corrupt_transfers(
-            p.mem_devices[0].index() as u32,
-            SimTime::ZERO,
-            SimTime::from_nanos(1),
-            1_000_000,
-        );
-        let faulty =
-            simulate_coarse_faulty(&m, &p, &model, 2, 3, &inert, &ResiliencePolicy::default());
-        assert_eq!(faulty.retries, 0, "the window must never intersect traffic");
-        assert_eq!(
-            faulty.result, clean,
-            "a never-biting plan must be byte-identical to the clean run"
-        );
-    }
-
-    #[test]
-    fn recovering_zero_fault_zero_interval_matches_clean_run() {
-        // The recovery engine with nothing to do must be invisible: no
-        // checkpoint cadence, no faults, and a result byte-identical to
-        // the plain simulator (the zero-perturbation contract).
-        let m = aws_v100();
-        let p = m.partition(PartitionScheme::OneToOne);
-        let model = bert_large();
-        let clean = simulate_coarse(&m, &p, &model, 2, 3);
-        let policy = RecoveryPolicy {
-            checkpoint_interval: 0,
-            ..RecoveryPolicy::default()
-        };
-        let r = simulate_coarse_recovering(&m, &p, &model, 2, 3, &FaultPlan::empty(), &policy);
-        assert!(r.is_clean());
-        assert_eq!(r.result, clean, "idle recovery engine must perturb nothing");
-        assert!(r.wall > SimDuration::ZERO, "wall time is always measured");
     }
 
     #[test]
@@ -3772,8 +2732,8 @@ mod tests {
             checkpoint_interval: 2,
             ..RecoveryPolicy::default()
         };
-        let baseline = simulate_coarse_recovering(&m, &p, &model, 2, 5, &FaultPlan::empty(), &free);
-        let ckpt = simulate_coarse_recovering(&m, &p, &model, 2, 5, &FaultPlan::empty(), &every2);
+        let baseline = recovering(&m, &p, &model, 2, 5, &FaultPlan::empty(), &free);
+        let ckpt = recovering(&m, &p, &model, 2, 5, &FaultPlan::empty(), &every2);
         // 5 iterations at interval 2 checkpoint after iterations 2 and 4
         // (never after the last).
         assert_eq!(ckpt.checkpoints, 2);
@@ -3808,7 +2768,7 @@ mod tests {
         let victim = p.mem_devices[1].index() as u32;
         let plan =
             FaultPlan::new(11).drop_device(victim, SimTime::ZERO + SimDuration::from_millis(1));
-        let a = simulate_coarse_recovering(&m, &p, &model, 2, 3, &plan, &policy);
+        let a = recovering(&m, &p, &model, 2, 3, &plan, &policy);
         assert_eq!(a.restores, 1, "a dropped proxy is a restore, not a retry");
         assert_eq!(a.membership_epoch, 1, "one eviction announces one epoch");
         assert!(!a.degraded_to_gpu, "three survivors keep the proxy tier");
@@ -3819,7 +2779,7 @@ mod tests {
             "one restore reads the whole image back"
         );
         assert!(a.detection_time > SimDuration::ZERO);
-        let b = simulate_coarse_recovering(&m, &p, &model, 2, 3, &plan, &policy);
+        let b = recovering(&m, &p, &model, 2, 3, &plan, &policy);
         assert_eq!(a, b, "same plan + seed must reproduce exactly");
     }
 
@@ -3843,13 +2803,13 @@ mod tests {
             checkpoint_interval: 1,
             ..RecoveryPolicy::default()
         };
-        let lossy = simulate_coarse_recovering(&m, &p, &model, 2, 3, &plan, &none);
+        let lossy = recovering(&m, &p, &model, 2, 3, &plan, &none);
         assert_eq!(lossy.restores, 1);
         assert!(
             lossy.lost_iterations >= 1,
             "work past the last checkpoint is lost: {lossy:?}"
         );
-        let protected = simulate_coarse_recovering(&m, &p, &model, 2, 3, &plan, &every);
+        let protected = recovering(&m, &p, &model, 2, 3, &plan, &every);
         assert_eq!(protected.restores, 1);
         assert!(
             protected.lost_iterations < lossy.lost_iterations,
@@ -3873,11 +2833,12 @@ mod tests {
         let victim = p.mem_devices[1].index() as u32;
         let plan =
             FaultPlan::new(11).drop_device(victim, SimTime::ZERO + SimDuration::from_millis(1));
-        let bare = simulate_coarse_recovering(&m, &p, &model, 2, 3, &plan, &policy);
+        let bare = recovering(&m, &p, &model, 2, 3, &plan, &policy);
         let hub = OracleHub::with_builtins(SimDuration::from_secs(60));
         hub.register(Box::new(MembershipMonotonicity::new()));
-        let observed =
-            simulate_coarse_recovering_observed(&m, &p, &model, 2, 3, &plan, &policy, &hub, None);
+        let observed = prepare(&m, &p, &model, 2).observed(&hub, Sabotage::None, None, |p| {
+            p.recovering(3, &plan, &policy)
+        });
         assert_eq!(bare, observed, "observation must not perturb the run");
         assert!(hub.violations().is_empty(), "{:?}", hub.violations());
     }
@@ -4006,12 +2967,132 @@ mod tests {
                 let pilot = ByteSize::bytes(model.total_bytes().as_u64() * g.u64_in(0..9) / 8);
                 for m in [prepared.best_m, pilot] {
                     let d = &prepared.deployment;
-                    let certified = d.run_inner(&mut d.engine(), m, iterations, false, true).0;
-                    let full = d.run_inner(&mut d.engine(), m, iterations, false, false).0;
+                    let certified = d.period(&mut d.engine(), m, iterations, None, false);
+                    let full = d.period(&mut d.engine(), m, iterations, None, true);
                     assert_eq!(
                         certified, full,
                         "{preset} ×{nodes} batch {batch} m={m} {iterations} iterations input={input}"
                     );
+                }
+            },
+        );
+    }
+
+    /// The clean run is the loop with an empty plan and no checkpoints,
+    /// whichever entry point asks for it: `clean`, `faulty` under an empty
+    /// or an inert plan (one whose window closes before any transfer
+    /// starts), and `recovering` under either at checkpoint interval 0 give
+    /// bit-identical results, and the zero-interval wall is the full loop's
+    /// end. The grid is the five presets plus the 2-node V100 cluster × the
+    /// uplink at ×{0.9, 1.0, 1.1} × default and half batch × {2, 3, 7}
+    /// iterations. Release builds walk the whole grid; debug builds draw a
+    /// seeded sample of it.
+    #[test]
+    fn clean_faulty_and_recovering_runs_agree_without_faults() {
+        use coarse_fabric::machines::MachineBuilder;
+        use coarse_models::zoo::bert_base;
+        use coarse_simcore::check::run_cases;
+        use PartitionScheme::{OneToOne, TwoToOne};
+
+        // (machine preset, its uplink GiB/s, nodes, model, partition, batch)
+        type Shape = (
+            &'static str,
+            f64,
+            u32,
+            fn() -> ModelProfile,
+            PartitionScheme,
+            u32,
+        );
+        let shapes: [Shape; 6] = [
+            ("aws_t4", 12.0, 1, resnet50, OneToOne, 64),
+            ("aws_t4", 12.0, 1, bert_base, OneToOne, 2),
+            ("sdsc_p100", 10.0, 1, bert_large, OneToOne, 2),
+            ("aws_v100", 9.0, 1, bert_large, OneToOne, 2),
+            ("aws_v100", 9.0, 1, bert_large, TwoToOne, 2),
+            ("aws_v100", 9.0, 2, bert_large, OneToOne, 2),
+        ];
+        let uplink_scales = [0.9, 1.0, 1.1];
+        let iteration_counts = [2, 3, 7];
+        let grid = shapes.len() * uplink_scales.len() * 2 * iteration_counts.len();
+        let cases = if cfg!(debug_assertions) { 8 } else { grid };
+        let mut case = 0;
+        run_cases(
+            "clean_faulty_and_recovering_runs_agree_without_faults",
+            cases as u64,
+            |g| {
+                let point = if cases == grid {
+                    case
+                } else {
+                    g.usize_in(0..grid)
+                };
+                case += 1;
+                let (preset, uplink, nodes, model, scheme, batch) = shapes[point % shapes.len()];
+                let rest = point / shapes.len();
+                let scale = uplink_scales[rest % uplink_scales.len()];
+                let rest = rest / uplink_scales.len();
+                let batch = if rest % 2 == 1 { batch / 2 } else { batch };
+                let iterations = iteration_counts[rest / 2];
+                let what =
+                    format!("{preset} ×{nodes} uplink ×{scale} batch {batch} {iterations} it");
+
+                let builder = MachineBuilder::preset(preset).uplink_gib(uplink * scale);
+                let machine = if nodes > 1 {
+                    builder.cluster(nodes).build()
+                } else {
+                    builder.build()
+                };
+                let model = model();
+                let partition = machine.partition(scheme);
+                let prepared = prepare(&machine, &partition, &model, batch);
+                let clean = prepared.clean(iterations);
+                let d = &prepared.deployment;
+                let none = FaultPlan::empty();
+                let policy = ResiliencePolicy::default();
+                let faults = Faults {
+                    plan: &none,
+                    response: Response::Failover(&policy),
+                };
+                let end = d
+                    .train(
+                        &mut d.engine(),
+                        prepared.best_m,
+                        iterations,
+                        faults,
+                        None,
+                        true,
+                    )
+                    .1
+                    .wall;
+                let inert = FaultPlan::new(11).corrupt_transfers(
+                    partition.mem_devices[0].index() as u32,
+                    SimTime::ZERO,
+                    SimTime::from_nanos(1),
+                    1_000_000,
+                );
+                let free = RecoveryPolicy {
+                    checkpoint_interval: 0,
+                    ..RecoveryPolicy::default()
+                };
+                for plan in [&none, &inert] {
+                    let faulty = prepared.faulty(iterations, plan, &policy);
+                    assert!(faulty.is_clean(), "{what}: {faulty:?}");
+                    assert_eq!(faulty.retries, 0, "{what}: the window never meets traffic");
+                    assert_eq!(
+                        faulty.result,
+                        clean,
+                        "{what}: faulty, {} faults",
+                        plan.len()
+                    );
+                    let recovering = prepared.recovering(iterations, plan, &free);
+                    assert!(recovering.is_clean(), "{what}: {recovering:?}");
+                    assert_eq!(
+                        recovering.result,
+                        clean,
+                        "{what}: recovering, {} faults",
+                        plan.len()
+                    );
+                    assert!(recovering.wall > SimDuration::ZERO, "{what}");
+                    assert_eq!(recovering.wall, end, "{what}: {} faults", plan.len());
                 }
             },
         );

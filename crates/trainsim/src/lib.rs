@@ -28,10 +28,8 @@ pub use chaos::{
     CaseReport, ChaosFailure, ChaosRepro, SoakConfig, SoakOutcome, REPRO_SCHEMA,
 };
 pub use coarse::{
-    coarse_hotspots, record_coarse_faulty_trace, record_coarse_metrics, record_coarse_profile,
-    record_coarse_trace, result_fingerprint, simulate_coarse, simulate_coarse_faulty,
-    simulate_coarse_faulty_observed, simulate_coarse_recovering,
-    simulate_coarse_recovering_observed, simulate_coarse_with_input, trace_coarse,
+    coarse_hotspots, record_coarse_metrics, record_coarse_profile, record_coarse_trace,
+    result_fingerprint, simulate_coarse, simulate_coarse_with_input, trace_coarse,
     FaultyTrainResult, RecoveringTrainResult, Sabotage,
 };
 pub use config::{Scheme, TrainError, TrainResult};

@@ -20,7 +20,7 @@ use coarse_repro::models::zoo::{bert_base, resnet50};
 use coarse_repro::simcore::check::{run_cases, Gen};
 use coarse_repro::simcore::faults::FaultPlan;
 use coarse_repro::simcore::time::{SimDuration, SimTime};
-use coarse_repro::trainsim::{simulate_coarse, simulate_coarse_faulty};
+use coarse_repro::trainsim::{simulate_coarse, Scenario};
 
 /// A dyadic value in [-2, 2): sums and means over power-of-two worker
 /// counts are exact in f32, so elementwise oracles can use `assert_eq`.
@@ -87,15 +87,13 @@ fn zero_fault_plan_is_byte_identical_in_simulation() {
         let iterations = 2 + g.u64_in(0..2) as u32;
         let partition = machine.partition(PartitionScheme::OneToOne);
         let clean = simulate_coarse(&machine, &partition, &model, batch, iterations);
-        let faulty = simulate_coarse_faulty(
-            &machine,
-            &partition,
-            &model,
-            batch,
-            iterations,
-            &FaultPlan::empty(),
-            &ResiliencePolicy::default(),
-        );
+        let faulty = Scenario::new("zero-fault", machine, model)
+            .batch_per_gpu(batch)
+            .iterations(iterations)
+            .faults(FaultPlan::empty())
+            .resilience(ResiliencePolicy::default())
+            .run_faulty()
+            .expect("the draw fits in memory");
         assert!(faulty.is_clean(), "empty plan must report a clean run");
         assert_eq!(clean, faulty.result, "empty plan must not perturb timing");
     });
