@@ -2610,6 +2610,68 @@ mod tests {
     }
 
     #[test]
+    fn faulty_run_with_empty_plan_is_byte_identical() {
+        let m = aws_v100();
+        let p = m.partition(PartitionScheme::OneToOne);
+        let model = bert_large();
+        let clean = simulate_coarse(&m, &p, &model, 2, 3);
+        let faulty = faulty(
+            &m,
+            &p,
+            &model,
+            2,
+            3,
+            &FaultPlan::empty(),
+            &ResiliencePolicy::default(),
+        );
+        assert!(faulty.is_clean());
+        assert_eq!(clean, faulty.result, "empty plan must perturb nothing");
+    }
+
+    #[test]
+    fn inert_plan_times_identically_to_the_clean_run() {
+        // A non-empty plan whose windows close before any transfer starts
+        // must not perturb the run: this is the contract the
+        // clean-run-equivalence oracle (and the chaos runner's reference
+        // fingerprint) relies on.
+        let m = aws_v100();
+        let p = m.partition(PartitionScheme::OneToOne);
+        let model = bert_large();
+        let clean = simulate_coarse(&m, &p, &model, 2, 3);
+        let inert = FaultPlan::new(11).corrupt_transfers(
+            p.mem_devices[0].index() as u32,
+            SimTime::ZERO,
+            SimTime::from_nanos(1),
+            1_000_000,
+        );
+        let faulty = faulty(&m, &p, &model, 2, 3, &inert, &ResiliencePolicy::default());
+        assert_eq!(faulty.retries, 0, "the window must never intersect traffic");
+        assert_eq!(
+            faulty.result, clean,
+            "a never-biting plan must be byte-identical to the clean run"
+        );
+    }
+
+    #[test]
+    fn recovering_zero_fault_zero_interval_matches_clean_run() {
+        // The recovery engine with nothing to do must be invisible: no
+        // checkpoint cadence, no faults, and a result byte-identical to
+        // the plain simulator (the zero-perturbation contract).
+        let m = aws_v100();
+        let p = m.partition(PartitionScheme::OneToOne);
+        let model = bert_large();
+        let clean = simulate_coarse(&m, &p, &model, 2, 3);
+        let policy = RecoveryPolicy {
+            checkpoint_interval: 0,
+            ..RecoveryPolicy::default()
+        };
+        let r = recovering(&m, &p, &model, 2, 3, &FaultPlan::empty(), &policy);
+        assert!(r.is_clean());
+        assert_eq!(r.result, clean, "idle recovery engine must perturb nothing");
+        assert!(r.wall > SimDuration::ZERO, "wall time is always measured");
+    }
+
+    #[test]
     fn runs_on_one_handle_match_fresh_deployments() {
         let m = aws_v100();
         let p = m.partition(PartitionScheme::OneToOne);
