@@ -805,12 +805,9 @@ fn profile(name: &str) {
         eprintln!("error: deterministic profile sections differ between two runs of '{name}'");
         std::process::exit(1);
     }
-    let q = run.profiler.queue_stats();
     println!(
-        "kernel: {} events dispatched ({} scheduled, {} cancelled)",
-        run.profiler.events_dispatched(),
-        q.scheduled,
-        q.cancelled
+        "dispatch: {} events dispatched",
+        run.profiler.events_dispatched()
     );
     println!("{:<20} {:>12}", "region", "events");
     for &r in &coarse_simcore::prof::region::ALL {

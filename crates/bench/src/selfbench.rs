@@ -9,7 +9,7 @@
 //! - **wall-clock** timings are machine-dependent; drift beyond a tolerance
 //!   band is *advisory* (a warning, never a CI failure);
 //! - **deterministic** fields — the per-bench work counters plus the
-//!   self-profiler's kernel/region event counts from a profiled
+//!   self-profiler's dispatch/region event counts from a profiled
 //!   [`PROFILE_PRESET`] run — depend only on the simulated program, so any
 //!   drift against the committed baseline is a *hard failure*.
 //!
@@ -33,7 +33,7 @@ use coarse_trainsim::{profile_preset, simulate_coarse, ProfileRun};
 use crate::harness::{black_box, Bench};
 
 /// Schema identifier of the `BENCH_<label>.json` artifact. v2 added the
-/// `profile` section (deterministic kernel/region event counts plus
+/// `profile` section (deterministic dispatch/region event counts plus
 /// wall-clock throughput from a profiled [`PROFILE_PRESET`] run).
 pub const BENCH_SCHEMA: &str = "coarse.selfbench/v2";
 
@@ -157,12 +157,11 @@ pub fn profile_summary() -> JsonValue {
     profile_summary_json(&run)
 }
 
-/// The `profile` section of the artifact: a `deterministic` half (kernel
-/// dispatch/queue counters and per-region event counts — exact across
+/// The `profile` section of the artifact: a `deterministic` half (event
+/// dispatch counts and per-region event counts — exact across
 /// machines, hard-gated by [`compare_reports`]) and a `wallclock` half
 /// (events/sec — advisory).
 pub fn profile_summary_json(run: &ProfileRun) -> JsonValue {
-    let q = run.profiler.queue_stats();
     let mut regions = JsonValue::object();
     for &name in &region::ALL {
         regions = regions.with(name, JsonValue::int(run.profiler.region_events(name)));
@@ -178,13 +177,6 @@ pub fn profile_summary_json(run: &ProfileRun) -> JsonValue {
                     "events_dispatched",
                     JsonValue::int(run.profiler.events_dispatched()),
                 )
-                .with(
-                    "queue",
-                    JsonValue::object()
-                        .with("scheduled", JsonValue::int(q.scheduled))
-                        .with("popped", JsonValue::int(q.popped))
-                        .with("cancelled", JsonValue::int(q.cancelled)),
-                )
                 .with("region_events", regions),
         )
         .with(
@@ -192,7 +184,7 @@ pub fn profile_summary_json(run: &ProfileRun) -> JsonValue {
             // The preset and the event-count denominator ride along so a
             // BENCH artifact's events/sec is interpretable on its own: the
             // rate only means something relative to which scenario produced
-            // how many kernel events.
+            // how many dispatched events.
             JsonValue::object()
                 .with("preset", JsonValue::str(&run.scenario))
                 .with(
@@ -249,7 +241,7 @@ pub fn write_report(label: &str) -> std::io::Result<String> {
 #[derive(Debug, Clone, Default)]
 pub struct BenchComparison {
     /// Hard failures: a deterministic field drifted (schema, work counters,
-    /// profiled kernel/region counts). CI fails on any of these — the
+    /// profiled dispatch/region counts). CI fails on any of these — the
     /// simulated program changed without the baseline being regenerated.
     pub errors: Vec<String>,
     /// Advisory findings: wall-clock drift beyond the tolerance band.
@@ -390,8 +382,8 @@ pub fn compare_reports(
             let det = |p: &JsonValue| p.get("deterministic").map(JsonValue::render);
             if det(cur) != det(base) {
                 cmp.errors.push(
-                    "profile deterministic section drifted from baseline: kernel \
-                     dispatch/queue counters and region event counts must be \
+                    "profile deterministic section drifted from baseline: event \
+                     dispatch and region event counts must be \
                      byte-identical (regenerate the baseline if the change is \
                      intentional)"
                         .to_string(),

@@ -1,5 +1,5 @@
 //! Timed proxy service: how fast proxies drain their tensor queues under
-//! each scheduling policy (§III-F), on the event-driven kernel.
+//! each scheduling policy (§III-F).
 //!
 //! The static [`deadlock`](crate::deadlock) scheduler answers *whether*
 //! a workload completes; this model answers *how fast*. Each proxy owns a
@@ -84,8 +84,13 @@ impl ProxyState {
 struct ServiceModel {
     policy: SchedulingPolicy,
     proxies: Vec<ProxyState>,
+    /// Jobs not launched yet.
     jobs: BTreeMap<TensorId, ServiceJob>,
-    running: BTreeMap<TensorId, Vec<usize>>,
+    /// Running collectives and the proxies whose cores they hold, keyed by
+    /// `(completion time, launch sequence)` so completions at one instant
+    /// are taken in launch order.
+    pending: BTreeMap<(SimTime, u64), (TensorId, Vec<usize>)>,
+    launches: u64,
     completed: usize,
     finished_at: SimTime,
     /// Self-profiler, when profiling is on: launches count under the
@@ -101,19 +106,8 @@ struct ServiceModel {
     crit_sink: Option<(SimTime, NodeId)>,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Try to launch every currently launchable collective.
-    Kick,
-    /// A tensor's collective completed.
-    Done(TensorId),
-}
-
 impl ServiceModel {
     fn launchable(&self, job: &ServiceJob) -> bool {
-        if self.running.contains_key(&job.tensor) {
-            return false;
-        }
         // Every contribution must be at a serviceable position AND every
         // distinct participating proxy must have a free core.
         let mut proxies: Vec<usize> = job.contributions.iter().map(|&(_, p)| p).collect();
@@ -129,29 +123,35 @@ impl ServiceModel {
             )
         }) && proxies.iter().all(|&p| self.proxies[p].free_cores > 0)
     }
-}
 
-impl Model for ServiceModel {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, queue: &mut EventQueue<Ev>) {
-        let mut freed: Vec<NodeId> = Vec::new();
-        if let Ev::Done(tensor) = ev {
-            // simlint: allow(panic-in-library, reason = "windowed service contract: finish() pairs with a begin() for the same tensor")
-            let proxies = self.running.remove(&tensor).expect("job was running");
+    /// Runs the service: one launch round at the start, then one after
+    /// every completion, until no collective is running.
+    fn run(&mut self) {
+        self.dispatch("core.service.kick");
+        self.launch_round(SimTime::ZERO, &[]);
+        while let Some(((now, _), (tensor, proxies))) = self.pending.pop_first() {
+            self.dispatch("core.service.done");
             for p in proxies {
                 self.proxies[p].free_cores += 1;
             }
-            self.jobs.remove(&tensor);
             self.completed += 1;
             self.finished_at = now;
-            if let Some(n) = self.crit_nodes.remove(&tensor) {
-                freed.push(n);
-            }
+            let freed = self.crit_nodes.remove(&tensor);
+            self.launch_round(now, freed.as_slice());
         }
-        // Launch everything now launchable, re-checking before each launch
-        // (an earlier launch in this round may have consumed the cores a
-        // later candidate needed).
+    }
+
+    fn dispatch(&self, label: &'static str) {
+        if let Some(p) = &self.profiler {
+            p.dispatch(label);
+        }
+    }
+
+    /// Launches everything now launchable, re-checking before each launch
+    /// (an earlier launch in this round may have consumed the cores a
+    /// later candidate needed). `freed` holds the critical-path node of
+    /// the completion that opened this round.
+    fn launch_round(&mut self, now: SimTime, freed: &[NodeId]) {
         let _prof = self
             .profiler
             .clone()
@@ -174,8 +174,10 @@ impl Model for ServiceModel {
             for (client, proxy) in contributions {
                 self.proxies[proxy].remove(Parked { client, tensor: t });
             }
-            self.running.insert(t, proxies);
-            queue.schedule_after(service, Ev::Done(t));
+            self.jobs.remove(&t);
+            self.pending
+                .insert((now + service, self.launches), (t, proxies));
+            self.launches += 1;
             launched += 1;
             if let Some(cp) = &self.critpath {
                 // A launch after t=0 waited in the proxy queues (all
@@ -187,7 +189,7 @@ impl Model for ServiceModel {
                         format!("tensor {} queued at proxies", t.0),
                         SimTime::ZERO,
                         now,
-                        &freed,
+                        freed,
                     )]
                 } else {
                     Vec::new()
@@ -213,13 +215,6 @@ impl Model for ServiceModel {
             }
         }
     }
-
-    fn event_label(&self, ev: &Ev) -> &'static str {
-        match ev {
-            Ev::Kick => "core.service.kick",
-            Ev::Done(_) => "core.service.done",
-        }
-    }
 }
 
 /// Runs the timed service simulation.
@@ -237,8 +232,8 @@ pub fn run_service(
     run_service_profiled(proxies, cores_per_proxy, policy, jobs, None)
 }
 
-/// [`run_service`] with an optional self-profiler attached to the kernel and
-/// model: event dispatch splits into `core.service.kick` / `core.service.done`,
+/// [`run_service`] with an optional self-profiler: the start counts one
+/// `core.service.kick` dispatch and every completion one `core.service.done`,
 /// collective launches count under the `core.proxy` region, and per-proxy
 /// FIFO depths feed the `core.proxy_fifo` histogram. Observation-only — the
 /// outcome is identical with or without the profiler.
@@ -323,24 +318,20 @@ fn run_service_inner(
         job_map.insert(job.tensor, job);
     }
     let total = job_map.len();
-    let mut sim = Simulation::new(ServiceModel {
+    let mut m = ServiceModel {
         policy,
         proxies: states,
         jobs: job_map,
-        running: BTreeMap::new(),
+        pending: BTreeMap::new(),
+        launches: 0,
         completed: 0,
         finished_at: SimTime::ZERO,
-        profiler: profiler.clone(),
+        profiler,
         critpath: critpath.clone(),
         crit_nodes: BTreeMap::new(),
         crit_sink: None,
-    });
-    if let Some(p) = profiler {
-        sim.set_profiler(p);
-    }
-    sim.queue_mut().schedule_now(Ev::Kick);
-    sim.run_to_completion();
-    let m = sim.model();
+    };
+    m.run();
     if let (Some(cp), Some((_, sink))) = (&critpath, m.crit_sink) {
         cp.mark_iteration(0, sink);
     }

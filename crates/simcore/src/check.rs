@@ -3,7 +3,7 @@
 //! The repro must build and test in sandboxed environments with no registry
 //! access, so the test suites cannot depend on `proptest`. This module is
 //! the in-repo replacement: a value generator ([`Gen`]) driven by the
-//! kernel's own xoshiro RNG ([`SimRng`]) and a case runner
+//! crate's own xoshiro RNG ([`SimRng`]) and a case runner
 //! ([`run_cases`]) that derives every case's seed from the property name,
 //! so failures reproduce exactly and independently of test ordering.
 //!

@@ -1,16 +1,13 @@
 //! # coarse-simcore
 //!
-//! The deterministic discrete-event simulation kernel underpinning the COARSE
+//! The deterministic simulation foundations underpinning the COARSE
 //! reproduction. It provides:
 //!
 //! - exact integer-nanosecond [`time`] (instants and durations),
-//! - a tie-stable calendar-queue [`queue::EventQueue`] (with a reference
-//!   heap implementation behind the same [`queue::EventSchedule`] trait) and
-//!   the [`sim::Simulation`] driver,
-//! - reproducible randomness ([`rng::SimRng`]),
-//! - data-size and bandwidth [`units`] whose division yields exact durations,
-//! - measurement collectors in [`stats`],
 //! - FIFO resource bookkeeping in [`timeline`],
+//! - reproducible randomness ([`rng::SimRng`]),
+//! - data-size and bandwidth [`units`] whose transfer times are exact durations,
+//! - measurement collectors in [`stats`],
 //! - structured tracing (spans/instants/counters) in [`trace`],
 //! - a typed metric registry (counters/gauges/histograms) in [`metrics`],
 //! - self-profiling of the simulator's own hot loops in [`prof`],
@@ -21,24 +18,18 @@
 //! - an offline deterministic property-test harness in [`check`].
 //!
 //! Everything is deterministic: the same program and seed produce the same
-//! event trace on every run and platform.
+//! timings on every run and platform.
 //!
 //! ```
 //! use coarse_simcore::prelude::*;
 //!
-//! // A one-shot timer model.
-//! struct Timer { fired_at: Option<SimTime> }
-//! impl Model for Timer {
-//!     type Event = ();
-//!     fn handle(&mut self, now: SimTime, _e: (), _q: &mut EventQueue<()>) {
-//!         self.fired_at = Some(now);
-//!     }
-//! }
-//!
-//! let mut sim = Simulation::new(Timer { fired_at: None });
-//! sim.queue_mut().schedule_after(SimDuration::from_micros(5), ());
-//! sim.run_to_completion();
-//! assert_eq!(sim.model().fired_at, Some(SimTime::from_nanos(5_000)));
+//! // A link that serves 1 KiB transfers at 1 GiB/s, in arrival order.
+//! let mut link = ResourceTimeline::new();
+//! let cost = Bandwidth::gib_per_sec(1.0).transfer_time(ByteSize::kib(1));
+//! let a = link.reserve(SimTime::ZERO, cost);
+//! let b = link.reserve(SimTime::ZERO, cost);
+//! assert_eq!(b.start, a.end); // the second transfer queues behind the first
+//! assert_eq!(b.end - SimTime::ZERO, cost * 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -50,16 +41,14 @@ pub mod json;
 pub mod metrics;
 pub mod oracle;
 pub mod prof;
-pub mod queue;
 pub mod rng;
-pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod timeline;
 pub mod trace;
 pub mod units;
 
-/// Convenient glob-import of the kernel's common types.
+/// Convenient glob-import of the crate's common types.
 pub mod prelude {
     pub use crate::critpath::{CritPath, Explanation, NodeId};
     pub use crate::faults::{
@@ -69,9 +58,7 @@ pub mod prelude {
     pub use crate::metrics::{HistogramSummary, MetricRegistry, MetricsSnapshot};
     pub use crate::oracle::{Oracle, OracleEvent, OracleHub, Violation};
     pub use crate::prof::{Pow2Histogram, Profiler, RegionGuard};
-    pub use crate::queue::{EventHandle, EventQueue, EventSchedule, HeapEventQueue};
     pub use crate::rng::SimRng;
-    pub use crate::sim::{Model, RunOutcome, Simulation};
     pub use crate::stats::{BusyTracker, Histogram, OnlineStats, QuantileEstimator, Series};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::timeline::{Grant, ResourceTimeline};

@@ -3,7 +3,7 @@
 //! The tracing layer ([`crate::trace`]) records what the simulated system
 //! did; the metric registry ([`crate::metrics`]) counts what it cost in
 //! simulated resources. Neither answers the question that gates every
-//! kernel optimization: which subsystem burns the *host's* cycles. This
+//! optimization: which subsystem burns the *host's* cycles. This
 //! module is that instrument — a zero-dependency profiler for the
 //! simulator's own hot loops, attached the same way tracers and metric
 //! registries are (an `Option<Profiler>` that defaults to `None` and is
@@ -11,9 +11,9 @@
 //!
 //! The profile splits into two strictly separated sections:
 //!
-//! - **Deterministic**: per-event-type dispatch counters, event-queue
-//!   depth/dwell histograms, per-region enter and event counts, and (with
-//!   the `prof-alloc` feature) allocation counts attributed to regions.
+//! - **Deterministic**: per-event-type dispatch counters, named queue-depth
+//!   histograms, per-region enter and event counts, and (with the
+//!   `prof-alloc` feature) allocation counts attributed to regions.
 //!   These depend only on the simulated program, never on the host, so two
 //!   runs of the same scenario render byte-identical JSON — CI diffs them
 //!   exactly.
@@ -44,7 +44,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::json::JsonValue;
-use crate::time::SimDuration;
 
 /// Schema identifier of the profile-report JSON document.
 pub const PROFILE_SCHEMA: &str = "coarse.profile-report/v1";
@@ -55,8 +54,6 @@ pub const PROFILE_SCHEMA: &str = "coarse.profile-report/v1";
 /// slot number and reports always cover every region (zeros included),
 /// keeping the deterministic section's shape run-independent.
 pub mod region {
-    /// Kernel event dispatch ([`crate::sim::Simulation::step`]).
-    pub const KERNEL: &str = "kernel.dispatch";
     /// Fabric link scheduling (`TransferEngine` leg computation).
     pub const FABRIC_LINK: &str = "fabric.link";
     /// CCI coherence-directory message processing.
@@ -82,8 +79,7 @@ pub mod region {
 
     /// Every region, in report order. Slot indices into this table are the
     /// allocator's attribution key.
-    pub const ALL: [&str; 12] = [
-        KERNEL,
+    pub const ALL: [&str; 11] = [
         FABRIC_LINK,
         CCI_COHERENCE,
         CCI_SYNC_RING,
@@ -107,16 +103,15 @@ pub mod region {
     }
 }
 
-/// The closed alphabet of per-event-type dispatch labels: every string any
-/// [`crate::sim::Model::event_label`] impl can return. [`Profiler::dispatch`]
-/// itself accepts any label (its map is a `BTreeMap`), but keeping the
-/// alphabet closed here means profile reports can be diffed across runs and
-/// models without label drift; `simlint`'s `label-registered` rule enforces
-/// the table in both directions.
+/// The closed alphabet of per-event-type dispatch labels: every string
+/// library code passes to [`Profiler::dispatch`]. The profiler itself
+/// accepts any label (its map is a `BTreeMap`), but keeping the alphabet
+/// closed here means profile reports can be diffed across runs and models
+/// without label drift; `simlint`'s `label-registered` rule enforces the
+/// table in both directions.
 pub const DISPATCH_LABELS: &[&str] = &[
     "core.service.done",
     "core.service.kick",
-    "event",
     "straggler.compute_done",
 ];
 
@@ -229,29 +224,11 @@ struct Frame {
     child_ns: u64,
 }
 
-/// Queue bookkeeping of one profiled run: schedule/pop/cancel counts plus
-/// queue-depth and event-dwell (simulated ns between scheduling and
-/// dispatch) histograms. All fields are deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Events scheduled.
-    pub scheduled: u64,
-    /// Events popped (dispatched).
-    pub popped: u64,
-    /// Events cancelled before dispatch.
-    pub cancelled: u64,
-    /// Queue depth observed after every schedule and pop.
-    pub depth: Pow2Histogram,
-    /// Simulated nanoseconds each popped event spent in the calendar.
-    pub dwell_sim_ns: Pow2Histogram,
-}
-
 struct ProfState {
     dispatch: BTreeMap<&'static str, u64>,
     enters: [u64; region::COUNT],
     events: [u64; region::COUNT],
     depths: BTreeMap<&'static str, Pow2Histogram>,
-    queue: QueueStats,
     stack: Vec<Frame>,
     /// Folded stack paths (`sim;a;b`) → (deterministic enter count, wall
     /// self-nanoseconds; the latter stays 0 without `prof-wallclock`).
@@ -279,7 +256,6 @@ impl ProfState {
             enters: [0; region::COUNT],
             events: [0; region::COUNT],
             depths: BTreeMap::new(),
-            queue: QueueStats::default(),
             stack: Vec::new(),
             folded: BTreeMap::new(),
             #[cfg(feature = "prof-wallclock")]
@@ -355,7 +331,7 @@ impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.state.borrow();
         f.debug_struct("Profiler")
-            .field("dispatched", &s.queue.popped)
+            .field("dispatched", &s.dispatch.values().sum::<u64>())
             .field("open_regions", &s.stack.len())
             .finish()
     }
@@ -405,14 +381,13 @@ impl Profiler {
         self.state.borrow_mut().events[region::slot(name)] += n;
     }
 
-    /// Records one per-event-type dispatch (called by the kernel with
-    /// [`crate::sim::Model::event_label`]).
+    /// Records one per-event-type dispatch: an event-driven loop calls it
+    /// once per event it handles, with a label from [`DISPATCH_LABELS`].
     pub fn dispatch(&self, label: &'static str) {
         *self.state.borrow_mut().dispatch.entry(label).or_insert(0) += 1;
     }
 
-    /// Observes a named queue depth (proxy parked shards, service queues);
-    /// kernel calendar depth has its own hook.
+    /// Observes a named queue depth (proxy parked shards, service queues).
     pub fn observe_depth(&self, name: &'static str, depth: u64) {
         self.state
             .borrow_mut()
@@ -420,28 +395,6 @@ impl Profiler {
             .entry(name)
             .or_default()
             .record(depth);
-    }
-
-    /// Kernel hook: an event was scheduled; `depth` is the calendar depth
-    /// after insertion.
-    pub fn queue_scheduled(&self, depth: u64) {
-        let mut s = self.state.borrow_mut();
-        s.queue.scheduled += 1;
-        s.queue.depth.record(depth);
-    }
-
-    /// Kernel hook: an event was popped after `dwell` simulated time;
-    /// `depth` is the calendar depth after removal.
-    pub fn queue_popped(&self, dwell: SimDuration, depth: u64) {
-        let mut s = self.state.borrow_mut();
-        s.queue.popped += 1;
-        s.queue.depth.record(depth);
-        s.queue.dwell_sim_ns.record(dwell.as_nanos());
-    }
-
-    /// Kernel hook: a pending event was cancelled.
-    pub fn queue_cancelled(&self) {
-        self.state.borrow_mut().queue.cancelled += 1;
     }
 
     /// Seals the session: elapsed wall time and (under `prof-alloc`) the
@@ -466,12 +419,7 @@ impl Profiler {
         }
     }
 
-    /// The queue statistics accumulated so far.
-    pub fn queue_stats(&self) -> QueueStats {
-        self.state.borrow().queue.clone()
-    }
-
-    /// Total kernel events dispatched so far.
+    /// Total events dispatched so far, over every label.
     pub fn events_dispatched(&self) -> u64 {
         self.state.borrow().dispatch.values().sum()
     }
@@ -482,8 +430,8 @@ impl Profiler {
     }
 
     /// The deterministic section: dispatch counters, per-region enter and
-    /// event counts, named depth histograms, queue statistics, and (under
-    /// `prof-alloc`) allocation counts. Byte-identical across runs of the
+    /// event counts, named depth histograms, and (under `prof-alloc`)
+    /// allocation counts. Byte-identical across runs of the
     /// same simulated program.
     pub fn deterministic_json(&self) -> JsonValue {
         let s = self.state.borrow();
@@ -504,16 +452,9 @@ impl Profiler {
         for (&name, hist) in &s.depths {
             depths = depths.with(name, hist.to_json());
         }
-        let queue = JsonValue::object()
-            .with("scheduled", JsonValue::int(s.queue.scheduled))
-            .with("popped", JsonValue::int(s.queue.popped))
-            .with("cancelled", JsonValue::int(s.queue.cancelled))
-            .with("depth_pow2", s.queue.depth.to_json())
-            .with("dwell_sim_ns_pow2", s.queue.dwell_sim_ns.to_json());
         JsonValue::object()
             .with("dispatch", dispatch)
             .with("regions", regions)
-            .with("queue", queue)
             .with("depths", depths)
             .with("alloc", Self::alloc_json(&s))
     }
@@ -556,11 +497,11 @@ impl Profiler {
             let elapsed_ns = s
                 .sealed_elapsed_ns
                 .unwrap_or_else(|| s.born.elapsed().as_nanos() as u64);
-            let popped = s.queue.popped;
-            let (events_per_sec, ns_per_event) = if popped > 0 && elapsed_ns > 0 {
+            let dispatched: u64 = s.dispatch.values().sum();
+            let (events_per_sec, ns_per_event) = if dispatched > 0 && elapsed_ns > 0 {
                 (
-                    JsonValue::num(popped as f64 / (elapsed_ns as f64 / 1e9)),
-                    JsonValue::num(elapsed_ns as f64 / popped as f64),
+                    JsonValue::num(dispatched as f64 / (elapsed_ns as f64 / 1e9)),
+                    JsonValue::num(elapsed_ns as f64 / dispatched as f64),
                 )
             } else {
                 (JsonValue::Null, JsonValue::Null)
@@ -848,12 +789,10 @@ mod tests {
     fn deterministic_section_is_byte_stable() {
         let run = || {
             let p = Profiler::new();
-            let _g = p.enter(region::KERNEL);
+            let _g = p.enter(region::CORE_PROXY);
             p.dispatch("tick");
             p.dispatch("tick");
             p.dispatch("tock");
-            p.queue_scheduled(1);
-            p.queue_popped(SimDuration::from_nanos(42), 0);
             p.observe_depth("test.queue", 3);
             drop(_g);
             p.deterministic_json().render()
@@ -864,16 +803,18 @@ mod tests {
     #[test]
     fn dispatch_and_queue_counters_accumulate() {
         let p = Profiler::new();
-        p.queue_scheduled(1);
-        p.queue_scheduled(2);
-        p.queue_popped(SimDuration::from_nanos(10), 1);
-        p.queue_cancelled();
+        p.observe_depth("test.queue", 1);
+        p.observe_depth("test.queue", 2);
         p.dispatch("ev");
-        let q = p.queue_stats();
-        assert_eq!((q.scheduled, q.popped, q.cancelled), (2, 1, 1));
-        assert_eq!(q.depth.count(), 3);
-        assert_eq!(q.dwell_sim_ns.count(), 1);
-        assert_eq!(p.events_dispatched(), 1);
+        p.dispatch("ev");
+        p.dispatch("other");
+        assert_eq!(p.events_dispatched(), 3);
+        let det = p.deterministic_json().render();
+        assert!(det.contains("\"dispatch\":{\"ev\":2,\"other\":1}"), "{det}");
+        assert!(
+            det.contains("\"test.queue\":{\"count\":2,\"max\":2"),
+            "{det}"
+        );
     }
 
     #[test]
@@ -890,7 +831,7 @@ mod tests {
     fn unknown_region_lands_on_other() {
         assert_eq!(region::slot("no.such.region"), region::COUNT - 1);
         assert_eq!(region::slot(region::OTHER), region::COUNT - 1);
-        assert_eq!(region::slot(region::KERNEL), 0);
+        assert_eq!(region::slot(region::FABRIC_LINK), 0);
     }
 
     #[cfg(feature = "prof-wallclock")]
@@ -898,7 +839,7 @@ mod tests {
     fn sealed_wallclock_is_stable() {
         let p = Profiler::new();
         {
-            let _g = p.enter(region::KERNEL);
+            let _g = p.enter(region::CORE_PROXY);
         }
         p.seal();
         let a = p.wallclock_json().render();
@@ -912,7 +853,7 @@ mod tests {
     fn wallclock_section_reports_elapsed() {
         let p = Profiler::new();
         {
-            let _g = p.enter(region::KERNEL);
+            let _g = p.enter(region::CORE_PROXY);
             std::hint::black_box((0..1000u64).sum::<u64>());
         }
         let doc = p.wallclock_json().render();

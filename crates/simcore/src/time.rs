@@ -1,7 +1,7 @@
 //! Simulated time.
 //!
-//! All timing in the simulator is expressed in integer **nanoseconds** so the
-//! event calendar is exact and runs are bit-reproducible. Two newtypes keep
+//! All timing in the simulator is expressed in integer **nanoseconds** so
+//! every schedule is exact and runs are bit-reproducible. Two newtypes keep
 //! instants and durations from being confused ([`SimTime`] vs
 //! [`SimDuration`]), mirroring `std::time::{Instant, Duration}`.
 

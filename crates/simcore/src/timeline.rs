@@ -5,7 +5,7 @@
 //! request arriving at `t` begins service at `max(t, busy_until)` and occupies
 //! the resource for its duration. This is the store-and-forward approximation
 //! used throughout the fabric model; requests must be offered in nondecreasing
-//! arrival order, which the event-driven kernel guarantees.
+//! arrival order, which every caller guarantees.
 
 use crate::time::{SimDuration, SimTime};
 

@@ -138,7 +138,7 @@ pub trait Tracer: Debug {
     );
 }
 
-/// A shareable tracer handle. `Rc` (not `Arc`): the simulation kernel is
+/// A shareable tracer handle. `Rc` (not `Arc`): the simulator is
 /// single-threaded by design, and `Rc` keeps instrumented structs `Clone`.
 pub type SharedTracer = Rc<dyn Tracer>;
 

@@ -1,102 +1,8 @@
-//! Property tests for the simulation kernel, driven by the in-repo
+//! Property tests for the simulation foundations, driven by the in-repo
 //! deterministic harness ([`coarse_simcore::check`]).
 
 use coarse_simcore::check::{run_cases, Gen};
 use coarse_simcore::prelude::*;
-
-/// Cancelling any subset of events removes exactly those events and
-/// preserves the order of the rest.
-#[test]
-fn queue_cancellation() {
-    run_cases("queue_cancellation", 64, |g: &mut Gen| {
-        let times = g.vec_of(1..60, |g| g.u64_in(0..100));
-        let cancel_mask = g.vec_of(60..61, |g| g.bool());
-        let mut q = EventQueue::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule_at(SimTime::from_nanos(t), i)))
-            .collect();
-        let mut kept: Vec<usize> = Vec::new();
-        for (i, h) in handles {
-            if cancel_mask[i % cancel_mask.len()] {
-                assert!(q.cancel(h));
-            } else {
-                kept.push(i);
-            }
-        }
-        assert_eq!(q.len(), kept.len());
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            popped.push(i);
-        }
-        // Same multiset, ordered by (time, insertion).
-        let mut expected = kept.clone();
-        expected.sort_by_key(|&i| (times[i], i));
-        assert_eq!(popped, expected);
-    });
-}
-
-/// Differential test of the two [`EventSchedule`] implementations: over
-/// seeded random schedules — heavy on timestamp ties, interleaved pops, and
-/// cancellations (including double- and after-pop cancels) — the calendar
-/// [`EventQueue`] and the reference [`HeapEventQueue`] must agree on every
-/// observable: pop sequences, peeked times, lengths, clocks, and cancel
-/// results.
-#[test]
-fn calendar_and_heap_queues_are_interchangeable() {
-    run_cases("queue_differential", 256, |g: &mut Gen| {
-        let mut cal: EventQueue<usize> = EventQueue::new();
-        let mut heap: HeapEventQueue<usize> = HeapEventQueue::new();
-        // Parallel handle books: entry i holds the two queues' handles for
-        // the i-th scheduled event.
-        let mut handles: Vec<(EventHandle, EventHandle)> = Vec::new();
-        let mut popped = 0usize;
-        let ops = g.usize_in(10..200);
-        for op in 0..ops {
-            match g.u64_in(0..10) {
-                // Schedule (most common). Small delta range forces ties;
-                // occasionally jump far ahead to cross calendar years.
-                0..=5 => {
-                    let delta = if g.u64_in(0..20) == 0 {
-                        g.u64_in(0..5_000_000)
-                    } else {
-                        g.u64_in(0..8)
-                    };
-                    let at = cal.now() + SimDuration::from_nanos(delta);
-                    let ha = cal.schedule_at(at, op);
-                    let hb = heap.schedule_at(at, op);
-                    handles.push((ha, hb));
-                }
-                // Cancel a random handle — possibly already popped or
-                // already cancelled; both queues must report the same.
-                6..=7 if !handles.is_empty() => {
-                    let i = g.usize_in(0..handles.len());
-                    let (ha, hb) = handles[i];
-                    assert_eq!(cal.cancel(ha), heap.cancel(hb));
-                }
-                // Pop.
-                _ => {
-                    assert_eq!(cal.peek_time(), heap.peek_time());
-                    let (a, b) = (cal.pop(), heap.pop());
-                    assert_eq!(a, b, "pop #{popped} diverged");
-                    popped += 1;
-                }
-            }
-            assert_eq!(cal.len(), heap.len());
-            assert_eq!(cal.now(), heap.now());
-        }
-        // Drain: the tails must match element-for-element.
-        loop {
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            let (a, b) = (cal.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    });
-}
 
 /// The RNG's `next_below` is always in range and `range_inclusive` honors
 /// both bounds.
@@ -178,36 +84,4 @@ fn div_ceil_minimal_cover() {
             assert!((n - 1) * chunk < size);
         }
     });
-}
-
-/// A deterministic multi-event model: N timers that re-arm a fixed number
-/// of times; the simulation must process exactly the expected event count.
-#[test]
-fn simulation_event_conservation() {
-    struct Timers {
-        remaining: Vec<u32>,
-        fired: u64,
-    }
-    impl Model for Timers {
-        type Event = usize;
-        fn handle(&mut self, _now: SimTime, idx: usize, q: &mut EventQueue<usize>) {
-            self.fired += 1;
-            if self.remaining[idx] > 0 {
-                self.remaining[idx] -= 1;
-                q.schedule_after(SimDuration::from_nanos((idx as u64 + 1) * 7), idx);
-            }
-        }
-    }
-    let rearms = vec![3u32, 5, 0, 2];
-    let expected: u64 = rearms.iter().map(|&r| r as u64 + 1).sum();
-    let mut sim = Simulation::new(Timers {
-        remaining: rearms,
-        fired: 0,
-    });
-    for i in 0..4 {
-        sim.queue_mut().schedule_now(i);
-    }
-    sim.run_to_completion();
-    assert_eq!(sim.model().fired, expected);
-    assert_eq!(sim.events_processed(), expected);
 }

@@ -1,6 +1,6 @@
-//! Fixture: per-iteration heap allocation in the event-dispatch hot path.
-//! Never compiled — linted by tests/selftest.rs under a synthetic
-//! `crates/simcore/src/sim.rs` path, which is on the hot-path allowlist.
+//! Fixture: per-iteration heap allocation in the hot path. Never compiled —
+//! linted by tests/selftest.rs under the `crates/simcore/src/timeline.rs`
+//! path, which is on the hot-path allowlist.
 
 pub fn drain(batches: &[usize]) -> usize {
     let mut total = 0;

@@ -1,12 +1,10 @@
-//! Fixture: an event_label impl returning a string missing from the
-//! profiler's DISPATCH_LABELS alphabet. Never compiled — linted by
-//! tests/selftest.rs under a synthetic `crates/trainsim/src/` path.
+//! Fixture: a dispatch call passing a label missing from the profiler's
+//! DISPATCH_LABELS alphabet. Never compiled — linted by tests/selftest.rs
+//! under a synthetic `crates/trainsim/src/` path.
 
-impl Model for Demo {
-    fn event_label(&self, ev: &Ev) -> &'static str {
-        match ev {
-            Ev::Known => "known.label",
-            Ev::Ghost => "ghost.label",
-        }
+fn run(profiler: &Profiler, ghost: bool) {
+    profiler.dispatch("known.label");
+    if ghost {
+        profiler.dispatch("ghost.label");
     }
 }

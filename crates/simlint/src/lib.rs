@@ -25,7 +25,7 @@
 //!   in the crates the parallel-kernel roadmap item will touch.
 //! * `oracle-registered` / `label-registered` / `schema-single-decl` —
 //!   registration exhaustiveness: every Oracle impl is in a battery, every
-//!   `event_label` string is in the profiler's `DISPATCH_LABELS` alphabet,
+//!   `.dispatch(` label is in the profiler's `DISPATCH_LABELS` alphabet,
 //!   every `coarse.*/v*` schema string has exactly one declaring const.
 //! * `bad-waiver` / `unused-waiver` — the waiver ledger polices itself.
 //!
@@ -100,7 +100,7 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
     semantic::metric_coverage(&lexed, &mut diags);
     semantic::preset_exists(&lexed, &mut diags);
     semantic::oracle_registered(&lexed, &mut diags);
-    semantic::label_registered(&lexed, &ws, &mut diags);
+    semantic::label_registered(&lexed, &mut diags);
     semantic::schema_single_decl(&lexed, &mut diags);
     waiver::apply(&mut diags, &mut waivers);
     let mut report = LintReport {

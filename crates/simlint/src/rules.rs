@@ -38,14 +38,14 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "hot-path-alloc",
-        description: "no `Box::new`/`Vec::new` inside loop bodies of the event-dispatch hot \
-                      path (queue, sim driver, timelines, fabric engine, sync ring); reuse \
+        description: "no `Box::new`/`Vec::new` inside loop bodies of the per-transfer hot \
+                      path (timelines, fabric engine, sync ring, timed collectives); reuse \
                       arenas/buffers, or waive for observation-only allocations",
     },
     RuleInfo {
         id: "label-registered",
-        description: "every string a `Model::event_label` impl returns must appear in \
-                      simcore::prof's DISPATCH_LABELS taxonomy, and vice versa, so the \
+        description: "every string literal library code passes to `.dispatch(` must appear \
+                      in simcore::prof's DISPATCH_LABELS taxonomy, and vice versa, so the \
                       profiler's per-event-type counters keep a closed, documented alphabet",
     },
     RuleInfo {
@@ -448,17 +448,15 @@ fn panic_in_library(info: &FileInfo, lexed: &Lexed, mask: &[bool], out: &mut Vec
     }
 }
 
-/// The event-dispatch hot path: files whose loop bodies run once per event,
-/// transfer, or ring step, where a per-iteration heap allocation is a
-/// steady-state throughput leak.
+/// The hot path: files whose loop bodies run once per transfer, link leg
+/// or ring step, where a per-iteration heap allocation is a steady-state
+/// throughput leak.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/cci/src/synccore.rs",
     "crates/collectives/src/timed.rs",
     "crates/fabric/src/bandwidth.rs",
     "crates/fabric/src/engine.rs",
     "crates/fabric/src/topology.rs",
-    "crates/simcore/src/queue.rs",
-    "crates/simcore/src/sim.rs",
     "crates/simcore/src/timeline.rs",
 ];
 

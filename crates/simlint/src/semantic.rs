@@ -6,13 +6,12 @@
 //! * `fig16*` string literals ↔ real `trainsim::Scenario` presets;
 //! * every `impl Oracle for X` ↔ a `register(Box::new(X...))` call (an
 //!   unregistered oracle silently watches nothing);
-//! * `Model::event_label` strings ↔ the profiler's `DISPATCH_LABELS`
+//! * `.dispatch("...")` labels ↔ the profiler's `DISPATCH_LABELS`
 //!   taxonomy (the per-event-type counters keep a closed alphabet);
 //! * every `coarse.*/v*` schema string ↔ exactly one `const` declaration.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::Workspace;
 use crate::lexer::{Lexed, Tok};
 use crate::report::Diagnostic;
 use crate::rules::{FileInfo, FileKind};
@@ -274,12 +273,13 @@ pub fn oracle_registered(files: &[LexedFile], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Rule `label-registered`: every string a non-test `Model::event_label`
-/// impl returns must appear in the profiler's `DISPATCH_LABELS` table, and
-/// every table entry must be returned by some impl. Keeps the per-event-type
-/// dispatch counters a closed alphabet so profile reports diff cleanly
-/// across runs and models. Skipped when prof.rs is absent (fixture runs).
-pub fn label_registered(files: &[LexedFile], ws: &Workspace, out: &mut Vec<Diagnostic>) {
+/// Rule `label-registered`: every string literal non-test library code
+/// passes to `.dispatch(` must appear in the profiler's `DISPATCH_LABELS`
+/// table, and every table entry must be passed by some call. Keeps the
+/// per-event-type dispatch counters a closed alphabet so profile reports
+/// diff cleanly across runs and models. Skipped when prof.rs is absent
+/// (fixture runs).
+pub fn label_registered(files: &[LexedFile], out: &mut Vec<Diagnostic>) {
     let Some(prof) = files.iter().find(|f| f.info.path == PROF_PATH) else {
         return;
     };
@@ -292,7 +292,7 @@ pub fn label_registered(files: &[LexedFile], ws: &Workspace, out: &mut Vec<Diagn
             rule: "label-registered",
             path: PROF_PATH.to_string(),
             line: 1,
-            message: "prof.rs declares no DISPATCH_LABELS table; the event_label alphabet \
+            message: "prof.rs declares no DISPATCH_LABELS table; the dispatch-label alphabet \
                       must be closed there"
                 .to_string(),
             waived: false,
@@ -309,51 +309,45 @@ pub fn label_registered(files: &[LexedFile], ws: &Workspace, out: &mut Vec<Diagn
         }
     }
     let table_set: BTreeSet<&str> = table.iter().map(|(v, _)| v.as_str()).collect();
-    let mut returned: BTreeSet<String> = BTreeSet::new();
-    for f in &ws.fns {
-        if f.name != "event_label" || f.in_test {
-            continue;
-        }
-        let file = &files[f.file];
-        if file.info.kind != FileKind::LibSrc {
-            continue;
-        }
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let body = &file.lexed.tokens[open..=close.min(file.lexed.tokens.len() - 1)];
-        let masked = &file.mask[open..open + body.len()];
-        for (t, m) in body.iter().zip(masked) {
-            if *m {
+    let mut used: BTreeSet<String> = BTreeSet::new();
+    for file in files.iter().filter(|f| f.info.kind == FileKind::LibSrc) {
+        for (i, w) in file.lexed.tokens.windows(4).enumerate() {
+            if file.mask[i] {
                 continue;
             }
-            if let Tok::Str(v) = &t.tok {
-                returned.insert(v.clone());
-                if !table_set.contains(v.as_str()) {
-                    out.push(Diagnostic {
-                        rule: "label-registered",
-                        path: file.info.path.clone(),
-                        line: t.line,
-                        message: format!(
-                            "event_label returns \"{v}\" but prof.rs DISPATCH_LABELS does \
-                             not list it; the dispatch-label alphabet must stay closed"
-                        ),
-                        waived: false,
-                        reason: None,
-                    });
-                }
+            let (Tok::Punct(b'.'), Tok::Ident(name), Tok::Punct(b'('), Tok::Str(v)) =
+                (&w[0].tok, &w[1].tok, &w[2].tok, &w[3].tok)
+            else {
+                continue;
+            };
+            if name != "dispatch" {
+                continue;
+            }
+            used.insert(v.clone());
+            if !table_set.contains(v.as_str()) {
+                out.push(Diagnostic {
+                    rule: "label-registered",
+                    path: file.info.path.clone(),
+                    line: w[3].line,
+                    message: format!(
+                        "dispatch(\"{v}\") uses a label prof.rs DISPATCH_LABELS does not \
+                         list; the dispatch-label alphabet must stay closed"
+                    ),
+                    waived: false,
+                    reason: None,
+                });
             }
         }
     }
     for (v, line) in &table {
-        if !returned.contains(v) {
+        if !used.contains(v) {
             out.push(Diagnostic {
                 rule: "label-registered",
                 path: PROF_PATH.to_string(),
                 line: *line,
                 message: format!(
-                    "DISPATCH_LABELS entry \"{v}\" is returned by no Model::event_label \
-                     impl; remove it or wire the model that emits it"
+                    "DISPATCH_LABELS entry \"{v}\" is passed to no dispatch call; remove it \
+                     or wire the loop that emits it"
                 ),
                 waived: false,
                 reason: None,
@@ -575,17 +569,17 @@ mod tests {
         );
         let model = file(
             "crates/trainsim/src/m.rs",
-            "impl Model for M {\n    fn event_label(&self, ev: &Ev) -> &'static str {\n        \
-             match ev { Ev::A => \"known.label\", Ev::B => \"ghost.label\" }\n    }\n}\n",
+            "fn run(p: &Profiler, ghost: bool) {\n    p.dispatch(\"known.label\");\n    \
+             if ghost {\n        p.dispatch(\"ghost.label\");\n    }\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t(p: &Profiler) { p.dispatch(\"test.only\"); }\n}\n",
         );
         let files = vec![prof, model];
-        let ws = Workspace::build(&files);
         let mut out = Vec::new();
-        label_registered(&files, &ws, &mut out);
+        label_registered(&files, &mut out);
         assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out
-            .iter()
-            .any(|d| d.message.contains("ghost.label") && d.path == "crates/trainsim/src/m.rs"));
+        assert!(out.iter().any(|d| d.message.contains("ghost.label")
+            && d.path == "crates/trainsim/src/m.rs"
+            && d.line == 4));
         assert!(out
             .iter()
             .any(|d| d.message.contains("phantom.orphan") && d.path == PROF_PATH));

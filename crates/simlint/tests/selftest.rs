@@ -15,7 +15,7 @@ const PANICS_PATH: &str = "crates/trainsim/src/bad_panics.rs";
 const CFG_TEST_PATH: &str = "crates/fabric/src/cfg_test_ok.rs";
 const WAIVERS_PATH: &str = "crates/collectives/src/waivers.rs";
 const PRESET_PATH: &str = "crates/trainsim/tests/bad_preset.rs";
-const HOT_ALLOC_PATH: &str = "crates/simcore/src/sim.rs";
+const HOT_ALLOC_PATH: &str = "crates/simcore/src/timeline.rs";
 const PARALLEL_PATH: &str = "crates/simcore/src/bad_parallel.rs";
 const TAINT_SRC_PATH: &str = "crates/fabric/src/timeutil.rs";
 const TAINT_SINK_PATH: &str = "crates/trainsim/src/taint_sink.rs";

@@ -579,7 +579,8 @@ impl Run<'_, '_> {
     fn evict(&mut self, dead: DeviceId, at: SimTime, soft: bool, how: &str) {
         assert!(
             self.mem_devices.contains(&dead),
-            "a worker dropped {how}: unsurvivable, the proxy tier is the only failover domain"
+            "a worker dropped {how}: unreachable, Scenario::validate rejects a plan that drops \
+             a worker GPU with TrainError::WorkerDropout"
         );
         self.mem_devices.to_mut().retain(|&d| d != dead);
         let rings = self.node_mem_rings.to_mut();
@@ -2365,7 +2366,7 @@ pub fn record_coarse_metrics(
 }
 
 /// Runs COARSE with a self-profiler attached to the final run: the transfer
-/// engine, kernel hooks, and training phases all record into `profiler`
+/// engine, sync ring, and training phases all record into `profiler`
 /// (regions `train.*`, `fabric.link`, `cci.sync_ring`), and the synthesized
 /// per-proxy queue depth feeds the `train.proxy_parked` histogram. Pilot
 /// runs stay unprofiled, so the profile covers exactly one run; attaching

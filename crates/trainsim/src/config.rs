@@ -1,5 +1,6 @@
 //! Experiment configuration and result types.
 
+use coarse_fabric::device::DeviceId;
 use coarse_simcore::time::SimDuration;
 
 /// The parameter-synchronization scheme under test (§V-D).
@@ -112,6 +113,12 @@ pub enum TrainError {
         /// What was wrong with it.
         reason: String,
     },
+    /// A COARSE fault plan drops a worker GPU; only the proxy tier can
+    /// fail over.
+    WorkerDropout {
+        /// The dropped worker.
+        device: DeviceId,
+    },
 }
 
 impl std::fmt::Display for TrainError {
@@ -138,6 +145,10 @@ impl std::fmt::Display for TrainError {
                 f.write_str("the model has no parameter bytes to synchronize")
             }
             TrainError::BadRepro { reason } => write!(f, "bad chaos repro: {reason}"),
+            TrainError::WorkerDropout { device } => write!(
+                f,
+                "the fault plan drops worker GPU {device}; only proxy-tier devices can fail over"
+            ),
         }
     }
 }

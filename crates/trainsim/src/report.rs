@@ -157,6 +157,9 @@ impl RunReport {
         // one validation covers all three runs below; any later run error
         // can only be a per-scheme memory rejection.
         clean.validate()?;
+        if !scenario.fault_plan().is_empty() {
+            scenario.check_worker_dropouts(&machine.partition(partition).workers)?;
+        }
         let run = |scheme: Scheme| {
             let outcome = match clean.clone().scheme(scheme).run() {
                 Ok(r) => SchemeOutcome::Completed(r),

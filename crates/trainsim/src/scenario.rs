@@ -19,6 +19,7 @@
 //! fault-free path.
 
 use coarse_core::resilience::{RecoveryPolicy, ResiliencePolicy};
+use coarse_fabric::device::DeviceId;
 use coarse_fabric::machines::{aws_t4, aws_v100, sdsc_p100, Machine, PartitionScheme};
 use coarse_models::memory::{MemoryModel, Residency};
 use coarse_models::profile::ModelProfile;
@@ -170,8 +171,9 @@ impl Scenario {
 
     /// Validates the scenario's shape before running it: a non-empty model,
     /// a sane batch and iteration count, and a partition with workers (and,
-    /// for COARSE, a proxy tier). The simulators `assert!` the same
-    /// invariants; this surfaces them as typed errors instead of panics.
+    /// for COARSE, a proxy tier and a fault plan that drops no worker GPU).
+    /// The simulators `assert!` the same invariants; this surfaces them as
+    /// typed errors instead of panics.
     ///
     /// # Errors
     ///
@@ -192,12 +194,31 @@ impl Scenario {
         if part.workers.is_empty() {
             return Err(TrainError::NoWorkers);
         }
-        if self.scheme == Scheme::Coarse && part.mem_devices.len() < 2 {
-            return Err(TrainError::NoProxyTier {
-                mem_devices: part.mem_devices.len(),
-            });
+        if self.scheme == Scheme::Coarse {
+            if part.mem_devices.len() < 2 {
+                return Err(TrainError::NoProxyTier {
+                    mem_devices: part.mem_devices.len(),
+                });
+            }
+            self.check_worker_dropouts(&part.workers)?;
         }
         Ok(())
+    }
+
+    /// Rejects a fault plan that drops one of `workers`: COARSE fails over
+    /// only within the proxy tier.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainError::WorkerDropout`] naming the first such worker.
+    pub(crate) fn check_worker_dropouts(&self, workers: &[DeviceId]) -> Result<(), TrainError> {
+        match workers
+            .iter()
+            .find(|w| self.faults.dropout_at(w.index() as u32).is_some())
+        {
+            Some(&device) => Err(TrainError::WorkerDropout { device }),
+            None => Ok(()),
+        }
     }
 
     /// Checks GPU-memory feasibility for the configured scheme: AllReduce
@@ -320,7 +341,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns a [`TrainError`] if validation fails or the batch does not
+    /// Returns a [`TrainError`] if validation fails (a plan that drops a
+    /// worker GPU is [`TrainError::WorkerDropout`]) or the batch does not
     /// fit.
     pub(crate) fn prepare_coarse(&self) -> Result<Prepared<'_>, TrainError> {
         self.validate()?;

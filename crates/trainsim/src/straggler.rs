@@ -8,8 +8,9 @@
 //! may run ahead into its next forward pass up to the parameter-deadline
 //! slack before it actually needs the slowest worker's contribution.
 //!
-//! Implemented on the deterministic event-driven kernel
-//! ([`coarse_simcore::sim::Simulation`]).
+//! Both models are a recurrence over iterations: an iteration closes when
+//! its slowest worker arrives, and each worker's next compute starts from
+//! that close as its sync model allows.
 
 use coarse_simcore::prelude::*;
 
@@ -64,122 +65,6 @@ pub struct StragglerResult {
     pub utilization: f64,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Worker `w` finished the compute of iteration `k`.
-    ComputeDone { worker: usize, iter: u32 },
-}
-
-struct StragglerModel {
-    cfg: StragglerConfig,
-    /// Pre-drawn compute durations, indexed `[iter][worker]`.
-    durations: Vec<Vec<SimDuration>>,
-    /// Completion time of each worker's compute in the current iteration.
-    done_at: Vec<Vec<Option<SimTime>>>,
-    total_wait: SimDuration,
-    waits: coarse_simcore::stats::QuantileEstimator,
-    waits_recorded: u64,
-    finished_at: SimTime,
-    total_compute: SimDuration,
-}
-
-impl StragglerModel {
-    fn new(cfg: StragglerConfig) -> Self {
-        let mut rng = SimRng::seed_from_u64(cfg.seed);
-        let durations: Vec<Vec<SimDuration>> = (0..cfg.iterations)
-            .map(|_| {
-                (0..cfg.workers)
-                    .map(|_| {
-                        let jitter = rng.next_gaussian().abs() * cfg.jitter_sigma;
-                        cfg.compute.mul_f64(1.0 + jitter)
-                    })
-                    .collect()
-            })
-            .collect();
-        let total_compute = durations.iter().flatten().copied().sum();
-        StragglerModel {
-            done_at: vec![vec![None; cfg.workers]; cfg.iterations as usize],
-            durations,
-            cfg,
-            total_wait: SimDuration::ZERO,
-            waits: coarse_simcore::stats::QuantileEstimator::new(),
-            waits_recorded: 0,
-            finished_at: SimTime::ZERO,
-            total_compute,
-        }
-    }
-}
-
-impl Model for StragglerModel {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, queue: &mut EventQueue<Ev>) {
-        let Ev::ComputeDone { worker, iter } = ev;
-        self.done_at[iter as usize][worker] = Some(now);
-        let iter_done = self.done_at[iter as usize].iter().all(Option::is_some);
-        match self.cfg.sync {
-            SyncModel::Barrier { sync } => {
-                // The barrier releases everyone once the slowest arrives.
-                if iter_done {
-                    let slowest = now; // last arrival is `now`
-                    for (w, &d) in self.done_at[iter as usize].iter().enumerate() {
-                        // simlint: allow(panic-in-library, reason = "the loop records an arrival for every worker before this read")
-                        let arrived = d.expect("all arrived");
-                        self.total_wait += slowest - arrived;
-                        self.waits.record((slowest - arrived).as_secs_f64());
-                        self.waits_recorded += 1;
-                        let next = iter + 1;
-                        if next < self.cfg.iterations {
-                            let dur = self.durations[next as usize][w];
-                            queue.schedule_at(
-                                slowest + sync + dur,
-                                Ev::ComputeDone {
-                                    worker: w,
-                                    iter: next,
-                                },
-                            );
-                        }
-                    }
-                    self.finished_at = slowest + sync;
-                }
-            }
-            SyncModel::Overlapped { tail, slack } => {
-                // Each worker proceeds after its own tail; it only stalls if
-                // it outruns the slowest worker by more than the slack.
-                if iter_done {
-                    let slowest = now;
-                    for (w, &d) in self.done_at[iter as usize].iter().enumerate() {
-                        // simlint: allow(panic-in-library, reason = "the loop records an arrival for every worker before this read")
-                        let arrived = d.expect("all arrived");
-                        let own_next = arrived + tail;
-                        let gated = (slowest + tail).saturating_duration_since(own_next + slack);
-                        let start = own_next + gated;
-                        self.total_wait += gated;
-                        self.waits.record(gated.as_secs_f64());
-                        self.waits_recorded += 1;
-                        let next = iter + 1;
-                        if next < self.cfg.iterations {
-                            let dur = self.durations[next as usize][w];
-                            queue.schedule_at(
-                                start + dur,
-                                Ev::ComputeDone {
-                                    worker: w,
-                                    iter: next,
-                                },
-                            );
-                        }
-                    }
-                    self.finished_at = slowest + tail;
-                }
-            }
-        }
-    }
-
-    fn event_label(&self, _ev: &Ev) -> &'static str {
-        "straggler.compute_done"
-    }
-}
-
 /// Runs one straggler experiment.
 ///
 /// # Panics
@@ -189,10 +74,10 @@ pub fn run_straggler(cfg: StragglerConfig) -> StragglerResult {
     run_straggler_profiled(cfg, None)
 }
 
-/// [`run_straggler`] with an optional self-profiler attached to the kernel:
-/// event dispatch counts under the `straggler.compute_done` label and the
-/// calendar's depth/dwell histograms cover this workload. Observation-only —
-/// the result is identical with or without the profiler.
+/// [`run_straggler`] with an optional self-profiler: every worker's compute
+/// completion counts as one dispatch under the `straggler.compute_done`
+/// label. Observation-only — the result is identical with or without the
+/// profiler.
 ///
 /// # Panics
 ///
@@ -200,31 +85,58 @@ pub fn run_straggler(cfg: StragglerConfig) -> StragglerResult {
 pub fn run_straggler_profiled(cfg: StragglerConfig, profiler: Option<Profiler>) -> StragglerResult {
     assert!(cfg.workers > 0, "need at least one worker");
     assert!(cfg.iterations > 0, "need at least one iteration");
-    let workers = cfg.workers;
-    let model = StragglerModel::new(cfg);
-    let mut sim = Simulation::new(model);
-    if let Some(p) = profiler {
-        sim.set_profiler(p);
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
+    // Compute durations, drawn `[iter][worker]`.
+    let durations: Vec<Vec<SimDuration>> = (0..cfg.iterations)
+        .map(|_| {
+            (0..cfg.workers)
+                .map(|_| {
+                    let jitter = rng.next_gaussian().abs() * cfg.jitter_sigma;
+                    cfg.compute.mul_f64(1.0 + jitter)
+                })
+                .collect()
+        })
+        .collect();
+    let total_compute: SimDuration = durations.iter().flatten().copied().sum();
+    let mut total_wait = SimDuration::ZERO;
+    let mut waits = QuantileEstimator::new();
+    let mut slowest = SimTime::ZERO;
+    // Each worker's compute start, then its arrival at the iteration's sync.
+    let mut at = vec![SimTime::ZERO; cfg.workers];
+    for row in &durations {
+        for (a, &d) in at.iter_mut().zip(row) {
+            *a += d;
+            if let Some(p) = &profiler {
+                p.dispatch("straggler.compute_done");
+            }
+        }
+        slowest = at.iter().copied().max().unwrap_or(SimTime::ZERO);
+        for a in &mut at {
+            let (wait, start) = match cfg.sync {
+                // The barrier releases everyone once the slowest arrives.
+                SyncModel::Barrier { sync } => (slowest - *a, slowest + sync),
+                // Each worker proceeds after its own tail; it only stalls
+                // if it outruns the slowest worker by more than the slack.
+                SyncModel::Overlapped { tail, slack } => {
+                    let gated = (slowest + tail).saturating_duration_since(*a + tail + slack);
+                    (gated, *a + tail + gated)
+                }
+            };
+            total_wait += wait;
+            waits.record(wait.as_secs_f64());
+            *a = start;
+        }
     }
-    for w in 0..workers {
-        let dur = sim.model().durations[0][w];
-        sim.queue_mut()
-            .schedule_at(SimTime::ZERO + dur, Ev::ComputeDone { worker: w, iter: 0 });
-    }
-    sim.run_to_completion();
-    let m = sim.model_mut();
-    let makespan = m.finished_at - SimTime::ZERO;
-    let mean_wait = if m.waits_recorded == 0 {
-        SimDuration::ZERO
-    } else {
-        m.total_wait / m.waits_recorded
-    };
-    let p99_wait = m
-        .waits
+    let makespan = match cfg.sync {
+        SyncModel::Barrier { sync } => slowest + sync,
+        SyncModel::Overlapped { tail, .. } => slowest + tail,
+    } - SimTime::ZERO;
+    let mean_wait = total_wait / (cfg.workers as u64 * u64::from(cfg.iterations));
+    let p99_wait = waits
         .p99()
         .map(SimDuration::from_secs_f64)
         .unwrap_or(SimDuration::ZERO);
-    let utilization = m.total_compute.as_secs_f64() / (workers as f64 * makespan.as_secs_f64());
+    let utilization = total_compute.as_secs_f64() / (cfg.workers as f64 * makespan.as_secs_f64());
     StragglerResult {
         makespan,
         mean_wait,

@@ -241,3 +241,39 @@ fn retries_never_reorder_per_client_queues() {
         }
     });
 }
+
+/// A plan that drops a worker GPU (device 2 of fig16d) is refused with a
+/// typed error by every COARSE entry point, a chaos repro replay included,
+/// instead of panicking in the proxy-tier eviction mid-run.
+#[test]
+fn worker_dropout_is_a_typed_error() {
+    use coarse_repro::core::resilience::RecoveryPolicy;
+    use coarse_repro::trainsim::chaos::{replay, ChaosRepro};
+    use coarse_repro::trainsim::{RunReport, Sabotage, TrainError};
+
+    let plan = FaultPlan::new(1).drop_device(2, SimTime::ZERO + SimDuration::from_millis(5));
+    let scenario = Scenario::preset("fig16d")
+        .iterations(3)
+        .faults(plan.clone());
+    let is_worker_2 =
+        |e: TrainError| matches!(e, TrainError::WorkerDropout { device } if device.index() == 2);
+    assert!(is_worker_2(scenario.run().unwrap_err()));
+    assert!(is_worker_2(scenario.run_faulty().unwrap_err()));
+    assert!(is_worker_2(
+        scenario
+            .run_recovering(&RecoveryPolicy::default())
+            .unwrap_err()
+    ));
+    assert!(is_worker_2(
+        RunReport::try_collect_scenario(&scenario).unwrap_err()
+    ));
+    let repro = ChaosRepro {
+        preset: "fig16d".to_string(),
+        iterations: 3,
+        batch_per_gpu: 2,
+        plan,
+        sabotage: Sabotage::None,
+        violations: Vec::new(),
+    };
+    assert!(is_worker_2(replay(&repro.render()).unwrap_err()));
+}

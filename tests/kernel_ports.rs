@@ -1,7 +1,9 @@
 //! Golden pin of the §II-B straggler study and the §III-F timed proxy
 //! service: the exact results, critical-path blame and deterministic
 //! profile sections over a seeded grid of configurations, byte for byte
-//! against `tests/goldens/kernel-ports.txt`.
+//! against `tests/goldens/kernel-ports.txt`. The golden was captured when
+//! both ran on a discrete-event calendar (less the calendar's own profile
+//! members); their loop ports reproduce it unedited.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -19,7 +21,6 @@ use coarse_core::service::{
     round_robin_jobs, run_service, run_service_explained, run_service_profiled, ServiceJob,
 };
 use coarse_simcore::critpath::CritPath;
-use coarse_simcore::json::JsonValue;
 use coarse_simcore::prof::Profiler;
 use coarse_simcore::rng::SimRng;
 use coarse_simcore::time::SimDuration;
@@ -51,7 +52,7 @@ fn straggler_lines(out: &mut String) {
         for sigma in [0.0, 0.1, 0.2, 0.4] {
             for sync in syncs {
                 for iterations in [1, 2, 50] {
-                    for seed in [1, 7, 0xC0A2_5E] {
+                    for seed in [1, 7, 0x00C0_A25E] {
                         let cfg = StragglerConfig {
                             workers,
                             iterations,
@@ -126,31 +127,6 @@ fn seeded(proxies: usize, seed: u64) -> Vec<ServiceJob> {
         .collect()
 }
 
-/// The deterministic profile section minus the members that describe the
-/// event calendar rather than the service: `queue` and the
-/// `kernel.dispatch` region row.
-fn service_profile(p: &Profiler) -> String {
-    let JsonValue::Object(members) = p.deterministic_json() else {
-        unreachable!("the deterministic section is an object");
-    };
-    let members = members
-        .into_iter()
-        .filter(|(k, _)| k != "queue")
-        .map(|(k, v)| match (k.as_str(), v) {
-            ("regions", JsonValue::Object(rows)) => (
-                k,
-                JsonValue::Object(
-                    rows.into_iter()
-                        .filter(|(r, _)| r != "kernel.dispatch")
-                        .collect(),
-                ),
-            ),
-            (_, v) => (k, v),
-        })
-        .collect();
-    JsonValue::Object(members).render()
-}
-
 fn service_lines(out: &mut String) {
     for proxies in [1, 2, 4] {
         for cores in [1, 2] {
@@ -188,7 +164,7 @@ fn service_lines(out: &mut String) {
                         ex.class_events,
                         ex.blame_json().render(),
                         ex.iterations_json(6).render(),
-                        service_profile(&p),
+                        p.deterministic_json().render(),
                     )
                     .unwrap();
                 }

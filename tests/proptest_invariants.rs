@@ -9,7 +9,6 @@ use coarse_repro::collectives::functional;
 use coarse_repro::core::deadlock::{SchedulingPolicy, SyncScheduler};
 use coarse_repro::core::dualsync::{estimate_iteration, optimize, DualSyncInputs};
 use coarse_repro::simcore::check::{run_cases, Gen};
-use coarse_repro::simcore::queue::EventQueue;
 use coarse_repro::simcore::time::{SimDuration, SimTime};
 use coarse_repro::simcore::timeline::ResourceTimeline;
 use coarse_repro::simcore::units::{Bandwidth, ByteSize};
@@ -59,28 +58,6 @@ fn sync_ring_equals_oracle() {
             stats.total_bytes_sent.as_u64(),
             2 * (n as u64 - 1) * (len as u64 * 4)
         );
-    });
-}
-
-/// The event queue pops in nondecreasing time order with stable ties.
-#[test]
-fn event_queue_ordering() {
-    run_cases("event_queue_ordering", 64, |g: &mut Gen| {
-        let times = g.vec_of(1..100, |g| g.u64_in(0..1000));
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(SimTime::from_nanos(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, i)) = q.pop() {
-            if let Some((lt, li)) = last {
-                assert!(t >= lt);
-                if t == lt {
-                    assert!(i > li, "ties must pop in insertion order");
-                }
-            }
-            last = Some((t, i));
-        }
     });
 }
 

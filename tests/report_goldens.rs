@@ -11,7 +11,8 @@
 //! The `coarse.recovery-report/v1` document of every preset and one
 //! fault-injected fig16d run report pin the fault and recovery loops the
 //! same way; their fixtures were captured before fault-plan transfers
-//! started reusing cached routes outside flap windows.
+//! started reusing cached routes outside flap windows. The deterministic
+//! section of fig16d's `coarse.profile-report/v1` is pinned as well.
 //!
 //! To regenerate after an *intentional* semantic change:
 //!
@@ -28,7 +29,7 @@ use coarse_fabric::machines::{aws_v100, PartitionScheme};
 use coarse_fabric::topology::LinkClass;
 use coarse_simcore::faults::{FaultPlan, FaultSpec};
 use coarse_simcore::time::{SimDuration, SimTime};
-use coarse_trainsim::{explain_preset, recovery_report, Scenario};
+use coarse_trainsim::{explain_preset, profile_preset, recovery_report, Scenario};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -139,4 +140,12 @@ fn faulty_run_report_matches_golden() {
         "the flap window changes the run"
     );
     check_golden("run-report-fig16d-faulty.json", &report.render());
+}
+
+#[test]
+fn profile_report_deterministic_section_matches_golden() {
+    let run = profile_preset("fig16d").expect("preset profiles");
+    let mut doc = run.deterministic_json().render_pretty();
+    doc.push('\n');
+    check_golden("profile-fig16d.json", &doc);
 }
