@@ -86,26 +86,19 @@ pub fn run_straggler_profiled(cfg: StragglerConfig, profiler: Option<Profiler>) 
     assert!(cfg.workers > 0, "need at least one worker");
     assert!(cfg.iterations > 0, "need at least one iteration");
     let mut rng = SimRng::seed_from_u64(cfg.seed);
-    // Compute durations, drawn `[iter][worker]`.
-    let durations: Vec<Vec<SimDuration>> = (0..cfg.iterations)
-        .map(|_| {
-            (0..cfg.workers)
-                .map(|_| {
-                    let jitter = rng.next_gaussian().abs() * cfg.jitter_sigma;
-                    cfg.compute.mul_f64(1.0 + jitter)
-                })
-                .collect()
-        })
-        .collect();
-    let total_compute: SimDuration = durations.iter().flatten().copied().sum();
+    let mut total_compute = SimDuration::ZERO;
     let mut total_wait = SimDuration::ZERO;
     let mut waits = QuantileEstimator::new();
     let mut slowest = SimTime::ZERO;
     // Each worker's compute start, then its arrival at the iteration's sync.
     let mut at = vec![SimTime::ZERO; cfg.workers];
-    for row in &durations {
-        for (a, &d) in at.iter_mut().zip(row) {
-            *a += d;
+    for _ in 0..cfg.iterations {
+        // Jitter is drawn in `[iter][worker]` order.
+        for a in &mut at {
+            let jitter = rng.next_gaussian().abs() * cfg.jitter_sigma;
+            let compute = cfg.compute.mul_f64(1.0 + jitter);
+            total_compute += compute;
+            *a += compute;
             if let Some(p) = &profiler {
                 p.dispatch("straggler.compute_done");
             }
@@ -223,6 +216,30 @@ mod tests {
             b8.mean_wait,
             b2.mean_wait
         );
+    }
+
+    #[test]
+    fn unbounded_slack_never_gates() {
+        // With the slack above any drift between workers, each worker runs
+        // its own iterations back to back: no wait, and a fast worker's
+        // next compute may finish before the slowest closes the current
+        // iteration.
+        let cfg = |slack| StragglerConfig {
+            workers: 8,
+            iterations: 50,
+            compute: SimDuration::from_millis(245),
+            jitter_sigma: 0.4,
+            sync: SyncModel::Overlapped {
+                tail: SimDuration::from_millis(20),
+                slack,
+            },
+            seed: 7,
+        };
+        let free = run_straggler(cfg(SimDuration::from_secs(3600)));
+        let gated = run_straggler(cfg(SimDuration::ZERO));
+        assert_eq!(free.mean_wait, SimDuration::ZERO);
+        assert_eq!(free.p99_wait, SimDuration::ZERO);
+        assert!(free.makespan < gated.makespan);
     }
 
     #[test]
